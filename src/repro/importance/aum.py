@@ -3,9 +3,10 @@
 AUM observes *training dynamics*: correctly-labelled points establish a
 positive assigned-label margin early, while mislabelled points are dragged
 toward their (wrong) given label only late, accumulating negative margin.
-Since the library's L-BFGS logistic regression has no epoch structure, this
-module trains its own plain gradient-descent softmax classifier to expose
-the trajectory — matching the spirit of the method's SGD setting.
+Since the library's logistic regression (Newton for two classes, L-BFGS for
+more) has no epoch structure, this module trains its own plain
+gradient-descent softmax classifier to expose the trajectory — matching the
+spirit of the method's SGD setting.
 """
 
 from __future__ import annotations

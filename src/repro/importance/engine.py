@@ -28,9 +28,12 @@ supervised process fan-out
     bit-identical for any worker count and any crash/retry history.
 
 deterministic seeding
-    All permutation orderings are pre-drawn in the driver from the single
+    All permutation orderings are drawn in the driver from the single
     ``np.random.default_rng(seed)`` stream (the same stream the legacy
     serial estimators consumed), instead of per-worker spawned substreams.
+    They are drawn in order, just before the wave that scans them (all of
+    them before a per-run fleet forks), so a run stopped early by its
+    budget never draws the orderings it does not scan.
     This is strictly stronger than substream seeding: the sampled orderings
     match the pre-engine implementations bit-for-bit *and* are independent
     of how they are later sharded across workers.
@@ -78,7 +81,8 @@ import warnings
 from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -108,6 +112,11 @@ __all__ = [
 DEFAULT_CACHE_SIZE = 32768
 
 _MISSING = object()
+
+
+class _MemoMiss(Exception):
+    """A memo-only wave scan met a subset the driver has not evaluated."""
+
 
 # Fork-based fan-out inherits the parent's memory, so utilities holding
 # closures, frames, or fitted transformers need no pickling. On platforms
@@ -600,7 +609,10 @@ class ValuationEngine:
 
     def evaluate(self, indices: Iterable[int]) -> float:
         """Memoized ``v(S)``; evaluates the utility on the sorted indices."""
-        key = SubsetCache.key(indices)
+        return self._memo(SubsetCache.key(indices))
+
+    def _memo(self, key: tuple[int, ...]) -> float:
+        """Memoized ``v(S)`` for a key that is already canonical (sorted)."""
         value = self.cache.lookup(key)
         if value is _MISSING:
             value = float(self.utility.evaluate(np.asarray(key, dtype=np.int64)))
@@ -676,7 +688,7 @@ class ValuationEngine:
         with _obs.span("engine.evaluate_many", n_subsets=len(keys)) as sp:
             stats_before = self._stats_baseline()
             if not self._parallel(len(keys)):
-                out = np.asarray([self.evaluate(key) for key in keys])
+                out = np.asarray([self._memo(key) for key in keys])
                 self._record_stats_delta(stats_before)
                 return out
             values: dict[tuple[int, ...], float] = {}
@@ -800,7 +812,8 @@ class ValuationEngine:
         started = time.perf_counter()
         evals_at_entry = int(self.utility.n_evaluations)
         supervision_before = self.supervision.to_dict()
-        orderings = self._draw_orderings(n_permutations, seed, antithetic)
+        stream = self._ordering_stream(seed, antithetic)
+        orderings: list[np.ndarray] = []
 
         # -- checkpoint identity + resume ------------------------------- #
         store = self.checkpoint
@@ -943,6 +956,8 @@ class ValuationEngine:
             if not exhausted_at_entry and self._parallel(n_permutations - scanned):
                 executor = self._resolve_pool()
                 if executor is None:
+                    # Forked workers see only what was drawn before the fork.
+                    orderings.extend(islice(stream, n_permutations))
                     state = {
                         "utility": self.utility,
                         "cache": self.cache.snapshot(),
@@ -968,6 +983,7 @@ class ValuationEngine:
                     stopped, converged, stop_reason = True, False, "deadline"
                     break
                 stop = min(start + wave, n_permutations)
+                orderings.extend(islice(stream, max(0, stop - len(orderings))))
                 with _obs.span("engine.wave", start=start, stop=stop) as wave_span:
                     deltas, wave_truncated = self._scan_range(
                         orderings, start, stop, weights, truncation_tolerance,
@@ -1224,21 +1240,24 @@ class ValuationEngine:
                 min(1.0, len(bounds) / self.n_workers)
             )
 
+    def _ordering_stream(
+        self, seed: int, antithetic: bool
+    ) -> Iterator[np.ndarray]:
+        """Every ordering of a run, in order, from the master stream (see
+        module doc); with ``antithetic`` each one is followed by its
+        reverse."""
+        rng = np.random.default_rng(seed)
+        while True:
+            base = rng.permutation(self.n_train)
+            yield base
+            if antithetic:
+                yield base[::-1].copy()
+
     def _draw_orderings(
         self, n_permutations: int, seed: int, antithetic: bool
     ) -> list[np.ndarray]:
-        """Pre-draw every ordering from the master stream (see module doc)."""
-        rng = np.random.default_rng(seed)
-        n = self.n_train
-        if not antithetic:
-            return [rng.permutation(n) for __ in range(n_permutations)]
-        orderings: list[np.ndarray] = []
-        while len(orderings) < n_permutations:
-            base = rng.permutation(n)
-            orderings.append(base)
-            if len(orderings) < n_permutations:
-                orderings.append(base[::-1].copy())
-        return orderings
+        """The first ``n_permutations`` orderings of the master stream."""
+        return list(islice(self._ordering_stream(seed, antithetic), n_permutations))
 
     def _scan_range(
         self,
@@ -1253,13 +1272,18 @@ class ValuationEngine:
     ) -> tuple[np.ndarray, int]:
         if executor is None:
             return _scan_orderings(
-                lambda key: self.evaluate(key),
+                self._memo,
                 orderings[start:stop],
                 weights,
                 truncation_tolerance,
                 null,
                 full,
             )
+        answered = self._scan_from_memo(
+            orderings[start:stop], weights, truncation_tolerance, null, full
+        )
+        if answered is not None:
+            return answered
         bounds = _chunk_bounds(
             stop - start, self.n_workers * self.chunks_per_worker
         )
@@ -1303,6 +1327,42 @@ class ValuationEngine:
             truncated += chunk_truncated
             self._merge_worker(new_entries, evals, counters, count_lookups=True)
         return deltas, truncated
+
+    def _scan_from_memo(
+        self,
+        orderings: Sequence[np.ndarray],
+        weights: np.ndarray,
+        truncation_tolerance: float,
+        null: float,
+        full: float | None,
+    ) -> tuple[np.ndarray, int] | None:
+        """Scan a wave from the driver's memo alone; None at the first miss.
+
+        A warm engine, or one that adopted a warm pool, often holds every
+        subset a wave needs: answering it here skips the fork or pool
+        dispatch and the cache syncs around it. Hits are counted only when
+        the whole wave is answered, so a wave that does dispatch is counted
+        once, from the workers' lookups, exactly as before.
+        """
+        memo = self.cache._data
+        hits = 0
+
+        def lookup(key: tuple[int, ...]) -> float:
+            nonlocal hits
+            value = memo.get(key, _MISSING)
+            if value is _MISSING:
+                raise _MemoMiss
+            hits += 1
+            return value
+
+        try:
+            answered = _scan_orderings(
+                lookup, orderings, weights, truncation_tolerance, null, full
+            )
+        except _MemoMiss:
+            return None
+        self.cache.hits += hits
+        return answered
 
     def _merge_worker(
         self, new_entries: dict, evals: int, counters: list, count_lookups: bool

@@ -72,11 +72,11 @@ class Utility:
 
     def evaluate(self, indices: Sequence[int]) -> float:
         """``v(S)`` for S given as training positions."""
-        idx = np.asarray(list(indices), dtype=np.int64)
+        idx = np.asarray(indices, dtype=np.int64)
         if len(idx) == 0:
             return self.null_score
         ys = self.y_train[idx]
-        if len(np.unique(ys)) < 2:
+        if (ys == ys[0]).all():
             # Single-class subset: the model degenerates to a constant
             # predictor of that class. No model is retrained, but the metric
             # *is* evaluated, so it counts toward ``n_evaluations`` (only the

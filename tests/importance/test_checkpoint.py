@@ -293,6 +293,30 @@ class TestBudgetDegradation:
         assert np.all(np.isfinite(run.values()))
         assert np.all(np.isfinite(run.stderr()))
 
+    def test_budget_stopped_run_draws_only_the_orderings_it_scans(self):
+        """Orderings are drawn wave by wave, so a huge permutation target
+        under a small budget costs nothing up front, and the orderings it
+        scans are the prefix of the full stream."""
+        engine = ValuationEngine(saturating_game())
+        stream = engine._ordering_stream
+        drawn = []
+
+        def counted(seed, antithetic):
+            for ordering in stream(seed, antithetic):
+                drawn.append(ordering)
+                yield ordering
+
+        engine._ordering_stream = counted
+        run = engine.run_permutations(
+            10**9, seed=5, max_evals=80, check_every=4
+        )
+        assert run.stop_reason == "eval_budget"
+        assert len(drawn) == run.n_permutations
+        prefix = ValuationEngine(saturating_game()).run_permutations(
+            run.n_permutations, seed=5
+        )
+        assert np.array_equal(run.values(), prefix.values())
+
     def test_stderr_shrinks_as_budget_grows(self):
         # Budgets stay well below 2**10 = 1024, the point at which the memo
         # holds every subset of the 10-point game and evaluations stop.

@@ -350,6 +350,25 @@ class TestEngineSharing:
         assert game.n_evaluations == evals_after_first  # all cache hits
         assert second.extras["cache"]["hit_rate"] > 0.4
 
+    def test_warm_parallel_rerun_answers_from_the_memo(self, model_game_factory):
+        """A wave the driver's memo fully answers forks no worker, and its
+        hits are counted exactly as a serial warm rerun counts them."""
+        serial = ValuationEngine(model_game_factory())
+        fanned = ValuationEngine(model_game_factory(), n_workers=2, pool=False)
+        for engine in (serial, fanned):
+            shapley_mc(None, n_permutations=4, seed=0, engine=engine)
+        chunks = fanned.supervision.chunks_completed
+        assert chunks > 0
+        hits = [serial.cache.hits, fanned.cache.hits]
+        warm = [
+            shapley_mc(None, n_permutations=4, seed=0, engine=engine)
+            for engine in (serial, fanned)
+        ]
+        assert fanned.supervision.chunks_completed == chunks
+        assert np.array_equal(warm[0].values, warm[1].values)
+        assert fanned.cache.hits - hits[1] == serial.cache.hits - hits[0] > 0
+        assert fanned.utility.n_evaluations == serial.utility.n_evaluations
+
     def test_cache_shared_across_estimators(self):
         game = table_game()
         engine = ValuationEngine(game)

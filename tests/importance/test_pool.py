@@ -235,6 +235,22 @@ class TestWarmReuse:
             stats = registry.stats()
             assert stats == {**stats, "pools": 1, "leases": 2, "reuses": 1}
 
+    def test_warm_engine_skips_dispatch(self):
+        """An engine adopting a warm pool holds every subset in its memo,
+        so its waves never reach the fleet."""
+        with WorkerPool(small_utility(), n_workers=2) as pool:
+            first = ValuationEngine(
+                small_utility(), n_workers=2, pool=pool
+            ).run_permutations(6, seed=4)
+            dispatched = pool.chunks_dispatched
+            second_u = small_utility()
+            second = ValuationEngine(
+                second_u, n_workers=2, pool=pool
+            ).run_permutations(6, seed=4)
+            assert pool.chunks_dispatched == dispatched
+        assert np.array_equal(second.values(), first.values())
+        assert second_u.n_evaluations == 0
+
     def test_pool_outlives_the_runs_and_registry_closes_it(self):
         with valuation_pool(n_workers=2) as registry:
             engine = ValuationEngine(small_utility(), n_workers=2)

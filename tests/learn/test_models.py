@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from repro.datasets import make_blobs, make_classification, make_moons, make_regression
 from repro.learn import (
@@ -17,6 +18,7 @@ from repro.learn import (
     clone,
 )
 from repro.learn.models import pairwise_distances
+from repro.learn.models.logistic import softmax_loss_grad
 
 ALL_CLASSIFIERS = [
     LogisticRegression(),
@@ -111,6 +113,202 @@ class TestLogisticRegression:
         weighted = LogisticRegression().fit(Xtr, ytr, sample_weight=weights)
         plain = LogisticRegression().fit(Xtr, ytr)
         assert np.mean(weighted.predict(Xtr) == 1) > np.mean(plain.predict(Xtr) == 1)
+
+
+def lbfgs_weights(X, y, l2=1e-3, max_iter=100, sample_weight=None, tight=False):
+    """Class-weight rows of a direct scipy L-BFGS solve of the softmax loss
+    (the solver every fit used before the two-class Newton path); ``tight``
+    drops its stopping tolerances to solve a well-scaled problem exactly."""
+    tolerances = {"gtol": 1e-12, "ftol": 0.0} if tight else {}
+    classes, y_index = np.unique(y, return_inverse=True)
+    result = minimize(
+        softmax_loss_grad,
+        np.zeros(len(classes) * (X.shape[1] + 1)),
+        args=(X, y_index, len(classes), l2, sample_weight),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": max_iter, **tolerances},
+    )
+    return result.x.reshape(len(classes), X.shape[1] + 1)
+
+
+def fitted_weights(model):
+    return np.hstack([model.coef_, model.intercept_[:, None]])
+
+
+def softmax_objective(W, X, y, l2, sample_weight=None):
+    """(loss, max-norm of the full softmax gradient) at class weights W."""
+    __, y_index = np.unique(y, return_inverse=True)
+    loss, grad = softmax_loss_grad(
+        W.ravel(), X, y_index, len(W), l2, sample_weight
+    )
+    return loss, float(np.max(np.abs(grad)))
+
+
+def predictions(W, X, y):
+    return np.unique(y)[np.argmax(X @ W[:, :-1].T + W[:, -1], axis=1)]
+
+
+def identify_subsets(n_datasets=6, per_dataset=170, seed=0):
+    """Seeded Identify-style fits: random subsets of 2–200 training rows
+    (both classes present) of a noisy linear rule with 20% flipped labels,
+    half of them weighted, each with its 100-row validation split."""
+    rng = np.random.default_rng(seed)
+    rule = np.array([1.5, -1.0, 0.8, 0.0])
+    for __ in range(n_datasets):
+        x = rng.normal(size=(300, 4))
+        y = (x @ rule + 0.5 * rng.normal(size=300) > 0).astype(int)
+        y_train = y[:200].copy()
+        flipped = rng.choice(200, 40, replace=False)
+        y_train[flipped] = 1 - y_train[flipped]
+        drawn = 0
+        while drawn < per_dataset:
+            rows = rng.choice(200, int(rng.integers(2, 201)), replace=False)
+            if len(np.unique(y_train[rows])) < 2:
+                continue
+            weight = (
+                rng.uniform(0.1, 3.0, size=len(rows)) if drawn % 2 else None
+            )
+            drawn += 1
+            yield x[rows], y_train[rows], weight, x[200:], y[200:]
+
+
+class TestNewtonAgainstLBFGS:
+    """Two-class fits solve the binary problem by Newton; the softmax loss
+    stays the reference objective, and L-BFGS the reference solver."""
+
+    def test_identify_subsets_reach_the_softmax_optimum(self):
+        n_fits = agree = 0
+        for X, y, weight, X_valid, y_valid in identify_subsets():
+            model = LogisticRegression(max_iter=100).fit(X, y, sample_weight=weight)
+            reference = lbfgs_weights(X, y, sample_weight=weight)
+            newton_loss, newton_grad = softmax_objective(
+                fitted_weights(model), X, y, 1e-3, weight
+            )
+            lbfgs_loss, __ = softmax_objective(reference, X, y, 1e-3, weight)
+            assert newton_loss <= lbfgs_loss + 1e-12
+            assert newton_grad <= 1e-6
+            assert np.array_equal(model.coef_[0], -model.coef_[1])
+            assert model.intercept_.sum() == 0.0
+            n_fits += 1
+            agree += np.mean(model.predict(X_valid) == y_valid) == np.mean(
+                predictions(reference, X_valid, y) == y_valid
+            )
+        assert n_fits >= 1000
+        assert agree >= 0.99 * n_fits
+
+    def test_three_classes_keep_the_lbfgs_solver(self):
+        X, y = make_blobs(n=150, centers=3, spread=1.5, seed=2)
+        weight = np.random.default_rng(0).uniform(0.5, 2.0, size=len(y))
+        for sample_weight in (None, weight):
+            model = LogisticRegression(l2=0.01, max_iter=40).fit(
+                X, y, sample_weight=sample_weight
+            )
+            reference = lbfgs_weights(
+                X, y, l2=0.01, max_iter=40, sample_weight=sample_weight
+            )
+            assert np.array_equal(fitted_weights(model), reference)
+
+
+def duplicated_column(X, y):
+    return np.hstack([X, X[:, :1]]), y
+
+
+def nan_feature(X, y):
+    X = X.copy()
+    X[5, 1] = np.nan
+    return X, y
+
+
+def inf_feature(X, y):
+    X = X.copy()
+    X[5, 1] = np.inf
+    return X, y
+
+
+def constant_column(X, y):
+    return np.hstack([X, np.full((len(X), 1), 3.0)]), y
+
+
+def two_rows(X, y):
+    rows = [0, int(np.flatnonzero(y != y[0])[0])]
+    return X[rows], y[rows]
+
+
+def scaled_by_1e6(X, y):
+    return X * 1e6, y
+
+
+#: (transform, l2, expected behaviour). Each transform derives its input from
+#: one noisy two-class problem. "optimum": the fit is at least as good as
+#: L-BFGS on the softmax objective, stationary, and predicts as L-BFGS does.
+DEGENERATE_CASES = {
+    # H is singular: Newton takes the minimum-norm step, which splits the
+    # weight evenly between the copies, as L-BFGS from zero does too.
+    "duplicated column, l2=0": (duplicated_column, 0.0, "optimum"),
+    # NaN loss at the zero start: all-zero coefficients, no exception.
+    "NaN feature": (nan_feature, 1e-3, "zero"),
+    "inf feature": (inf_feature, 1e-3, "zero"),
+    "constant column": (constant_column, 1e-3, "optimum"),
+    "two rows": (two_rows, 1e-3, "optimum"),
+    # L-BFGS stops far short of this optimum (its predictions differ);
+    # the scaled optimum is the unscaled one with l2 / 1e12.
+    "features scaled by 1e6": (scaled_by_1e6, 1e-3, "rescaled optimum"),
+}
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("case", list(DEGENERATE_CASES))
+    def test_degenerate_input(self, case):
+        transform, l2, expected = DEGENERATE_CASES[case]
+        base_X, base_y = make_classification(n=120, n_features=3, noise=0.5, seed=3)
+        X, y = transform(base_X, base_y)
+        model = LogisticRegression(l2=l2).fit(X, y)
+        W = fitted_weights(model)
+        if expected == "zero":
+            assert np.array_equal(W, np.zeros((2, X.shape[1] + 1)))
+            return
+        reference = lbfgs_weights(X, y, l2=l2, max_iter=200)
+        loss, grad = softmax_objective(W, X, y, l2)
+        assert loss <= softmax_objective(reference, X, y, l2)[0] + 1e-12
+        assert grad <= 1e-6
+        if expected == "optimum":
+            assert np.array_equal(model.predict(X), predictions(reference, X, y))
+        else:
+            optimum = lbfgs_weights(
+                base_X, base_y, l2=l2 / 1e12, max_iter=10_000, tight=True
+            )
+            assert np.allclose(model.coef_ * 1e6, optimum[:, :-1], rtol=1e-5)
+            assert np.allclose(model.intercept_, optimum[:, -1], rtol=1e-5)
+        if case.startswith("duplicated"):
+            assert model.coef_[1, 0] == pytest.approx(model.coef_[1, -1])
+
+
+class TestSampleWeightValidation:
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            (np.ones((30, 1)), "1-D"),
+            (np.ones(29), "29 entries"),
+            (np.r_[np.ones(29), np.nan], "finite"),
+            (np.r_[np.ones(29), np.inf], "finite"),
+            (-np.ones(30), "non-negative"),
+            (np.zeros(30), "positive sum"),
+        ],
+        ids=["2-D", "wrong length", "NaN", "inf", "negative", "zero sum"],
+    )
+    def test_invalid_weights_raise(self, weight, message):
+        X, y = make_classification(n=30, n_features=3, seed=1)
+        with pytest.raises(ValueError, match=message):
+            LogisticRegression().fit(X, y, sample_weight=weight)
+
+    def test_zero_weight_rows_are_allowed(self):
+        X, y = make_classification(n=30, n_features=3, seed=1)
+        weight = np.ones(30)
+        weight[:5] = 0.0
+        dropped = LogisticRegression().fit(X[5:], y[5:])
+        weighted = LogisticRegression().fit(X, y, sample_weight=weight)
+        assert np.allclose(weighted.coef_, dropped.coef_)
 
 
 class TestKNN:
