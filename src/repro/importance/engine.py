@@ -17,23 +17,26 @@ memoized utility cache
 
 supervised process fan-out
     Permutations (or subsets) are partitioned into chunks dispatched across
-    ``n_workers`` forked worker processes by a
-    :class:`~repro.importance.supervision.ChunkDispatcher`. The dispatcher
-    detects worker *crashes* (abnormal exit) and *hangs* (per-chunk
-    deadlines derived from observed chunk-latency quantiles), restarts dead
-    workers, and re-queues their unfinished chunks. Because every chunk is
-    a slice of pre-drawn orderings, re-execution is deterministic, and
-    results are merged **in chunk order** — so the floating-point
-    accumulation sequence, and therefore the returned values, is
-    bit-identical for any worker count and any crash/retry history.
+    the ``n_workers`` processes of a
+    :class:`~repro.importance.pool.WorkerPool`, the engine's only parallel
+    executor: an owned, borrowed or registry-leased pool, or else a
+    call-scoped pool that the call leases and closes. The pool's
+    :class:`~repro.importance.supervision.ChunkDispatcher` detects worker
+    *crashes* (abnormal exit) and *hangs* (per-chunk deadlines derived from
+    observed chunk-latency quantiles), restarts dead workers, and re-queues
+    their unfinished chunks. Because every chunk is a slice of orderings
+    drawn in the driver, re-execution is deterministic, and results are
+    merged **in chunk order** — so the floating-point accumulation
+    sequence, and therefore the returned values, is bit-identical for any
+    worker count and any crash/retry history.
 
 deterministic seeding
     All permutation orderings are drawn in the driver from the single
     ``np.random.default_rng(seed)`` stream (the same stream the legacy
     serial estimators consumed), instead of per-worker spawned substreams.
-    They are drawn in order, just before the wave that scans them (all of
-    them before a per-run fleet forks), so a run stopped early by its
-    budget never draws the orderings it does not scan.
+    They are drawn in order, just before the wave that scans them, so a
+    run stopped early by its budget never draws the orderings it does not
+    scan.
     This is strictly stronger than substream seeding: the sampled orderings
     match the pre-engine implementations bit-for-bit *and* are independent
     of how they are later sharded across workers.
@@ -57,7 +60,9 @@ variance-aware early stopping and budget degradation
     ``converged=False`` (with per-row standard errors and an evaluation
     census) instead of raising. All stopping decisions happen at fixed
     ``check_every`` wave boundaries in permutation order, so the stopping
-    point is independent of the worker count.
+    point is independent of the worker count. Budgets are checked before a
+    wave starts, so a run that scans its last permutation has completed,
+    whatever it spent doing so.
 
 antithetic permutation pairs
     With ``antithetic=True`` every drawn ordering is followed by its
@@ -80,8 +85,9 @@ import time
 import warnings
 from bisect import insort
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -90,12 +96,7 @@ from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs
 from .checkpoint import CheckpointStore, config_fingerprint
 from .pool import PoolUnavailable, WorkerPool, active_map_pool, current_registry
-from .supervision import (
-    ChunkDispatcher,
-    ChunkFailure,
-    DeadlinePolicy,
-    SupervisionStats,
-)
+from .supervision import SupervisionStats
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
@@ -111,6 +112,11 @@ __all__ = [
 #: default is tens of megabytes for games with a few hundred points.
 DEFAULT_CACHE_SIZE = 32768
 
+#: Chunks per worker in each fan-out: finer re-queue units and better
+#: latency-quantile estimates, at slightly more dispatch overhead. Does not
+#: affect returned values.
+_CHUNKS_PER_WORKER = 2
+
 _MISSING = object()
 
 
@@ -118,12 +124,13 @@ class _MemoMiss(Exception):
     """A memo-only wave scan met a subset the driver has not evaluated."""
 
 
-# Fork-based fan-out inherits the parent's memory, so utilities holding
-# closures, frames, or fitted transformers need no pickling. On platforms
-# without fork (Windows/macOS-spawn) the *pool* still runs — shared memory
-# plus picklable chunk descriptors cross a spawn boundary — and only the
-# modes that genuinely cannot degrade to serial, loudly, one RuntimeWarning
-# per mode per process (see _warn_no_fork).
+# A call-scoped pool forks, so its workers inherit the parent's memory and
+# utilities holding closures, frames, or fitted transformers need no
+# pickling. On platforms without fork (Windows/macOS-spawn) a registry
+# pool still runs — shared memory plus picklable chunk descriptors cross a
+# spawn boundary — and only the modes that genuinely cannot degrade to
+# serial, loudly, one RuntimeWarning per mode per process (see
+# _warn_no_fork).
 _FORK_CTX = (
     mp.get_context("fork") if "fork" in mp.get_all_start_methods() else None
 )
@@ -213,10 +220,6 @@ class SubsetCache:
         while len(self._data) > self.max_size:
             self._data.popitem(last=False)
             self.evictions += 1
-
-    def snapshot(self) -> dict[tuple[int, ...], float]:
-        """Plain-dict copy shipped to workers at fork time."""
-        return dict(self._data)
 
     def stats(self) -> dict:
         total = self.hits + self.misses
@@ -325,66 +328,135 @@ def _scan_orderings(
     return deltas, truncated
 
 
-def _worker_evaluator(state: dict) -> tuple[Callable[[tuple[int, ...]], float], dict, list]:
-    """Cache-aware ``v(key)`` for a forked worker.
-
-    The worker's cache starts as the parent's snapshot (inherited at fork)
-    and grows in place, so it persists across tasks within the process. New
-    entries and hit/miss counts are reported back for the parent to merge.
-    """
-    utility = state["utility"]
-    cache: dict = state["cache"]
-    new_entries: dict = {}
-    counters = [0, 0]  # hits, misses
-
-    def evaluate(key: tuple[int, ...]) -> float:
-        if key in cache:
-            counters[0] += 1
-            return cache[key]
-        counters[1] += 1
-        value = float(utility.evaluate(np.asarray(key, dtype=np.int64)))
-        cache[key] = value
-        new_entries[key] = value
-        return value
-
-    return evaluate, new_entries, counters
-
-
-def _permutation_chunk(state: dict, bounds: tuple[int, int]):
-    """Worker task: scan ``orderings[start:stop]`` (safe to re-execute)."""
-    start, stop = bounds
-    utility = state["utility"]
-    evals_before = utility.n_evaluations
-    evaluate, new_entries, counters = _worker_evaluator(state)
-    deltas, truncated = _scan_orderings(
-        evaluate,
-        state["orderings"][start:stop],
-        state["weights"],
-        state["truncation_tolerance"],
-        state["null"],
-        state["full"],
-    )
-    evals = utility.n_evaluations - evals_before
-    return start, deltas, truncated, new_entries, evals, counters
-
-
-def _subset_chunk(state: dict, bounds: tuple[int, int]):
-    """Worker task: evaluate ``keys[start:stop]`` (safe to re-execute)."""
-    start, stop = bounds
-    utility = state["utility"]
-    evals_before = utility.n_evaluations
-    evaluate, new_entries, counters = _worker_evaluator(state)
-    values = [evaluate(key) for key in state["keys"][start:stop]]
-    evals = utility.n_evaluations - evals_before
-    return start, values, new_entries, evals, counters
-
-
 def _chunk_bounds(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
     """Contiguous, near-even (start, stop) partition of ``range(n_items)``."""
     edges = np.linspace(0, n_items, min(n_chunks, n_items) + 1, dtype=int)
     return [
         (int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a
     ]
+
+
+class _Checkpointed:
+    """Checkpoint identity, resume and carry-over of one sampling run.
+
+    ``kind`` plus a fingerprint of ``config`` identify the run; a snapshot
+    written under another configuration refuses to resume. With the
+    engine's ``resume`` set, :attr:`snapshot` is the matching snapshot (or
+    empty), and the evaluations and time it records carry over.
+    """
+
+    def __init__(
+        self, engine: "ValuationEngine", kind: str, config: Mapping[str, Any]
+    ) -> None:
+        self.utility = engine.utility
+        self.store = engine.checkpoint
+        self.kind = kind
+        self.started = time.perf_counter()
+        self.fingerprint = None
+        self.snapshot: dict = {}
+        if self.store is not None:
+            self.fingerprint = config_fingerprint({"kind": kind, **config})
+            if engine.resume:
+                self.snapshot = (
+                    self.store.load_matching(kind, self.fingerprint) or {}
+                )
+        self.evals_prior = int(self.snapshot.get("n_evaluations", 0))
+        self.elapsed_prior = float(self.snapshot.get("elapsed_s", 0.0))
+        self.evals_at_entry = int(self.utility.n_evaluations)
+
+    def n_evaluations(self) -> int:
+        """Evaluations the run has spent, earlier invocations included."""
+        return self.evals_prior + int(self.utility.n_evaluations) - self.evals_at_entry
+
+    def elapsed_s(self) -> float:
+        """Wall time the run has spent, earlier invocations included."""
+        return self.elapsed_prior + (time.perf_counter() - self.started)
+
+    def save(self, **record: Any) -> None:
+        """Snapshot ``record`` under the run's identity (no-op without a
+        checkpoint store)."""
+        if self.store is not None:
+            self.store.save(
+                {"kind": self.kind, "fingerprint": self.fingerprint, **record}
+            )
+
+
+class _PermutationAccumulator(_Checkpointed):
+    """Resumable state of one permutation-sampling run: per-point sums and
+    sums of squares of weighted marginals, the completed-permutation
+    watermark ``scanned``, the truncated-scan count and ``max_stderr``."""
+
+    def __init__(self, engine: "ValuationEngine", config: Mapping[str, Any]) -> None:
+        super().__init__(engine, "permutation", config)
+        self.config = config
+        n = config["n_train"]
+        snapshot = self.snapshot
+        self.totals = np.asarray(snapshot.get("totals", np.zeros(n)), dtype=float)
+        self.sumsq = np.asarray(snapshot.get("sumsq", np.zeros(n)), dtype=float)
+        self.scanned = self.resumed_from = int(snapshot.get("completed", 0))
+        self.truncated = int(snapshot.get("truncated_scans", 0))
+        self.max_stderr: float | None = None
+        #: Stop reason of a restored run that already finished, else None.
+        self.finished = (
+            str(snapshot.get("stop_reason", "completed"))
+            if snapshot.get("finished")
+            else None
+        )
+
+    def add(self, deltas: np.ndarray, truncated: int) -> None:
+        """Fold in one wave's marginal rows, one permutation at a time, so
+        the floating-point summation order matches the serial scan for
+        every worker count."""
+        for row in deltas:
+            self.totals += row
+            self.sumsq += row * row
+        self.scanned += len(deltas)
+        self.truncated += truncated
+
+    def converged(self, tolerance: float | None) -> bool:
+        """Refresh ``max_stderr``; whether it is within ``tolerance``."""
+        if tolerance is None or self.scanned < 2:
+            return False
+        self.max_stderr = float(np.max(self.run().stderr()))
+        return self.max_stderr <= tolerance
+
+    def checkpoint(self, stop_reason: str | None) -> None:
+        """Snapshot the accumulator; ``stop_reason`` marks a finished run."""
+        self.save(
+            n_train=self.config["n_train"],
+            seed=self.config["seed"],
+            n_permutations=self.config["n_permutations"],
+            completed=self.scanned,
+            totals=self.totals.tolist(),
+            sumsq=self.sumsq.tolist(),
+            truncated_scans=self.truncated,
+            n_evaluations=self.n_evaluations(),
+            elapsed_s=self.elapsed_s(),
+            finished=stop_reason is not None,
+            stop_reason=stop_reason,
+        )
+
+    def run(
+        self, stop_reason: str = "completed", tolerance: float | None = None
+    ) -> PermutationRun:
+        """The accumulator as a :class:`PermutationRun`. A run that scanned
+        all its permutations under a convergence tolerance never reached it:
+        the last wave's check would have stopped it as converged."""
+        return PermutationRun(
+            totals=self.totals,
+            counts=np.full(len(self.totals), self.scanned, dtype=float),
+            sumsq=self.sumsq,
+            n_permutations=self.scanned,
+            truncated_scans=self.truncated,
+            stopped_early=stop_reason == "converged",
+            max_stderr=self.max_stderr,
+            converged=stop_reason == "converged"
+            or (stop_reason == "completed" and tolerance is None),
+            stop_reason=stop_reason,
+            n_evaluations=self.n_evaluations(),
+            elapsed_s=self.elapsed_s(),
+            resumed_from=self.resumed_from,
+        )
 
 
 class ValuationEngine:
@@ -397,10 +469,11 @@ class ValuationEngine:
         (``n_train``, ``evaluate(indices)``, ``n_evaluations``).
     n_workers:
         Worker processes for fan-out. ``1`` (the default) runs fully
-        serial, in-process. Values > 1 require a fork-capable platform and
-        fall back to serial elsewhere with a single ``RuntimeWarning``. The
-        returned values are identical for every worker count
-        (deterministic utilities).
+        serial, in-process. Values > 1 fan out on a worker pool (see
+        ``pool``); without one, a call-scoped pool needs a fork-capable
+        platform and the engine falls back to serial elsewhere with a
+        single ``RuntimeWarning``. The returned values are identical for
+        every worker count (deterministic utilities).
     cache_size:
         LRU bound of the subset memo; ``0`` disables memoization.
     ledger:
@@ -416,29 +489,26 @@ class ValuationEngine:
         of resuming.
     chunk_timeout_s:
         Hard per-chunk deadline for hang detection. Default None: deadlines
-        adapt from observed chunk-latency quantiles (``hang_factor`` × the
-        p95 of recent chunk latencies, once enough samples exist).
-    hang_factor, max_chunk_retries, max_worker_restarts:
-        Supervision knobs: the latency-quantile multiplier, the per-chunk
-        retry budget (exhaustion raises
-        :class:`~repro.importance.supervision.ChunkFailure`), and the
-        engine-lifetime cap on worker restarts.
-    chunks_per_worker:
-        Chunk granularity of each fan-out: more chunks per worker means
-        finer re-queue units and better latency-quantile estimates at
-        slightly more dispatch overhead. Does not affect returned values.
+        adapt from observed chunk-latency quantiles (8× the p95 of recent
+        chunk latencies, once enough samples exist, floored at the pool's
+        5 s). A chunk that fails 4 times raises
+        :class:`~repro.importance.supervision.ChunkFailure`, and a pool
+        restarts at most 32 workers over its lifetime — for a call-scoped
+        pool, over one call.
     pool:
         Where fan-outs execute. ``None`` (default): lease from the active
         :func:`~repro.importance.pool.valuation_pool` registry when one is
-        installed, else fall back to per-call forked fleets. ``True``:
-        eagerly create an engine-owned
+        installed. ``True``: eagerly create an engine-owned
         :class:`~repro.importance.pool.WorkerPool` (released by
         :meth:`close` / the engine's context manager; raises
         :class:`~repro.importance.pool.PoolUnavailable` if impossible). A
         :class:`~repro.importance.pool.WorkerPool` instance: borrow it
-        (caller keeps ownership). ``False``: never use a pool, even under
-        an active registry. Returned values are bit-identical in every
-        mode.
+        (caller keeps ownership). ``False``: never lease from a registry.
+        Without an owned, borrowed or leased pool, each
+        :meth:`run_permutations` / :meth:`evaluate_many` call fans out on
+        a call-scoped pool (fork start, no warmup, no ledger) that it
+        closes before returning. Returned values are bit-identical in
+        every mode.
     chaos:
         Optional :class:`repro.errors.chaos.ChaosMonkey` whose seeded
         *worker-level* faults (crash-on-chunk, hang-on-chunk) are injected
@@ -454,17 +524,11 @@ class ValuationEngine:
         checkpoint: Any | None = None,
         resume: bool = False,
         chunk_timeout_s: float | None = None,
-        hang_factor: float = 8.0,
-        max_chunk_retries: int = 3,
-        max_worker_restarts: int = 32,
-        chunks_per_worker: int = 2,
         pool: Any | None = None,
         chaos: Any | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if chunks_per_worker < 1:
-            raise ValueError("chunks_per_worker must be >= 1")
         self.utility = utility
         self.n_workers = int(n_workers)
         self.cache = SubsetCache(cache_size)
@@ -475,10 +539,6 @@ class ValuationEngine:
             self.checkpoint = CheckpointStore(checkpoint)
         self.resume = bool(resume)
         self.chunk_timeout_s = chunk_timeout_s
-        self.hang_factor = float(hang_factor)
-        self.max_chunk_retries = int(max_chunk_retries)
-        self.max_worker_restarts = int(max_worker_restarts)
-        self.chunks_per_worker = int(chunks_per_worker)
         self.chaos = chaos
         #: Lifetime supervision counters (crashes, hangs, retries, restarts).
         self.supervision = SupervisionStats()
@@ -492,9 +552,6 @@ class ValuationEngine:
                 n_workers=self.n_workers,
                 ledger=ledger,
                 chunk_timeout_s=chunk_timeout_s,
-                hang_factor=self.hang_factor,
-                max_chunk_retries=self.max_chunk_retries,
-                max_worker_restarts=self.max_worker_restarts,
                 chaos=chaos,
             )
             self._owns_pool = True
@@ -562,46 +619,27 @@ class ValuationEngine:
     # observability                                                      #
     # ------------------------------------------------------------------ #
 
-    def _stats_baseline(self) -> tuple[int, int, int] | None:
-        """Cache/evaluation counters at entry (None while obs is off)."""
+    @contextmanager
+    def _stats_window(self) -> Iterator[None]:
+        """Publish what one engine call contributes to the metric registry
+        (and to the innermost open span), also when the call raises."""
         if not _obs.enabled():
-            return None
-        return (
-            self.cache.hits,
-            self.cache.misses,
-            int(self.utility.n_evaluations),
-        )
-
-    def _record_stats_delta(self, baseline: tuple[int, int, int] | None) -> None:
-        """Publish what one engine call contributed to the metric registry."""
-        if baseline is None:
+            yield
             return
-        hits0, misses0, evals0 = baseline
-        _obs_metrics.counter("engine.cache.hits").inc(self.cache.hits - hits0)
-        _obs_metrics.counter("engine.cache.misses").inc(self.cache.misses - misses0)
-        _obs_metrics.counter("engine.evaluations").inc(
-            int(self.utility.n_evaluations) - evals0
-        )
-        _obs_metrics.gauge("engine.cache.size").set(len(self.cache._data))
-        _obs_metrics.gauge("engine.n_workers").set(self.n_workers)
-        _obs.add_attrs(
-            cache_hits=self.cache.hits - hits0,
-            cache_misses=self.cache.misses - misses0,
-            evaluations=int(self.utility.n_evaluations) - evals0,
-        )
-
-    def _supervision_event(self, kind: str, chunk_ord: int, attempt: int) -> None:
-        """Bridge dispatcher events into obs metrics + chaos ground truth."""
-        if _obs.enabled():
-            _obs_metrics.counter(f"engine.supervision.{kind}").inc()
-        if (
-            self.chaos is not None
-            and kind in ("crash", "hang")
-            and hasattr(self.chaos, "record_worker_fault")
-        ):
-            planned = self.chaos.worker_fault(chunk_ord, attempt)
-            if planned is not None:
-                self.chaos.record_worker_fault(planned, chunk_ord)
+        hits0, misses0 = self.cache.hits, self.cache.misses
+        evals0 = int(self.utility.n_evaluations)
+        try:
+            yield
+        finally:
+            hits = self.cache.hits - hits0
+            misses = self.cache.misses - misses0
+            evals = int(self.utility.n_evaluations) - evals0
+            _obs_metrics.counter("engine.cache.hits").inc(hits)
+            _obs_metrics.counter("engine.cache.misses").inc(misses)
+            _obs_metrics.counter("engine.evaluations").inc(evals)
+            _obs_metrics.gauge("engine.cache.size").set(len(self.cache._data))
+            _obs_metrics.gauge("engine.n_workers").set(self.n_workers)
+            _obs.add_attrs(cache_hits=hits, cache_misses=misses, evaluations=evals)
 
     # ------------------------------------------------------------------ #
     # point evaluations                                                  #
@@ -638,59 +676,41 @@ class ValuationEngine:
         values bit-identical to an uninterrupted one.
         """
         keys = [SubsetCache.key(subset) for subset in subsets]
-        store = self.checkpoint if checkpoint_config is not None else None
-        fingerprint = None
-        evals_resumed = 0
-        if store is not None:
-            fingerprint = config_fingerprint(
-                {"kind": "subset", **dict(checkpoint_config)}
-            )
-            if self.resume:
-                snapshot = store.load_matching("subset", fingerprint)
-                if snapshot is not None:
-                    for key, value in snapshot.get("values", []):
-                        self.cache.put(tuple(int(i) for i in key), float(value))
-                    evals_resumed = int(snapshot.get("n_evaluations", 0))
-        evals_at_entry = int(self.utility.n_evaluations)
-
-        def save(completed: int, finished: bool) -> None:
-            if store is None:
-                return
-            seen = OrderedDict.fromkeys(keys[:completed])
-            store.save(
-                {
-                    "kind": "subset",
-                    "fingerprint": fingerprint,
-                    "completed": completed,
-                    "n_subsets": len(keys),
-                    "values": [
+        run = None
+        wave = len(keys)
+        if checkpoint_config is not None and self.checkpoint is not None:
+            run = _Checkpointed(self, "subset", checkpoint_config)
+            for key, value in run.snapshot.get("values", []):
+                self.cache.put(tuple(int(i) for i in key), float(value))
+            wave = max(1, int(wave_size))
+        with self._fan_out(min(wave, len(keys))) as pool:
+            if run is None:
+                return self._evaluate_many(keys, pool)
+            out = np.empty(len(keys))
+            for start in range(0, len(keys), wave):
+                stop = min(start + wave, len(keys))
+                out[start:stop] = self._evaluate_many(keys[start:stop], pool)
+                run.save(
+                    completed=stop,
+                    n_subsets=len(keys),
+                    values=[
                         [list(key), self.cache._data[key]]
-                        for key in seen
+                        for key in OrderedDict.fromkeys(keys[:stop])
                         if key in self.cache._data
                     ],
-                    "n_evaluations": evals_resumed
-                    + int(self.utility.n_evaluations)
-                    - evals_at_entry,
-                    "finished": finished,
-                }
-            )
+                    n_evaluations=run.n_evaluations(),
+                    finished=stop >= len(keys),
+                )
+            return out
 
-        if store is None:
-            return self._evaluate_many(keys)
-        out = np.empty(len(keys))
-        for start in range(0, len(keys), max(1, int(wave_size))):
-            stop = min(start + max(1, int(wave_size)), len(keys))
-            out[start:stop] = self._evaluate_many(keys[start:stop])
-            save(stop, finished=stop >= len(keys))
-        return out
-
-    def _evaluate_many(self, keys: Sequence[tuple[int, ...]]) -> np.ndarray:
-        with _obs.span("engine.evaluate_many", n_subsets=len(keys)) as sp:
-            stats_before = self._stats_baseline()
-            if not self._parallel(len(keys)):
-                out = np.asarray([self._memo(key) for key in keys])
-                self._record_stats_delta(stats_before)
-                return out
+    def _evaluate_many(
+        self, keys: Sequence[tuple[int, ...]], pool: WorkerPool | None
+    ) -> np.ndarray:
+        with _obs.span(
+            "engine.evaluate_many", n_subsets=len(keys)
+        ) as sp, self._stats_window():
+            if pool is None or len(keys) <= 1:
+                return np.asarray([self._memo(key) for key in keys])
             values: dict[tuple[int, ...], float] = {}
             pending: list[tuple[int, ...]] = []
             for key in OrderedDict.fromkeys(keys):
@@ -701,49 +721,20 @@ class ValuationEngine:
                     values[key] = value
             sp.set(pending=len(pending))
             if pending:
-                bounds = _chunk_bounds(
-                    len(pending), self.n_workers * self.chunks_per_worker
-                )
-                self._pool_metrics(bounds)
-                pool = self._resolve_pool()
-                if pool is not None:
-                    pool.sync_cache(self.cache._data)
-                    payloads = [
+                outputs = self._dispatch(
+                    pool,
+                    [
                         {"kind": "subset", "keys": pending[a:b]}
-                        for a, b in bounds
-                    ]
-                    results = pool.dispatch(
-                        payloads, on_event=self._pool_event
-                    )
-                    self.supervision.chunks_completed += len(payloads)
-                    for (a, b), result in zip(bounds, results):
-                        __, chunk_values, entries, evals, counters, __m = result
-                        self._merge_worker(
-                            dict(entries), evals, counters, count_lookups=False
-                        )
-                        # A warm worker may have answered from its local
-                        # cache (no new entry); the driver memo still
-                        # learns every requested subset.
-                        for key, value in zip(pending[a:b], chunk_values):
-                            values[key] = value
-                            self.cache.put(key, value)
-                    pool.sync_cache(self.cache._data)
-                else:
-                    state = {
-                        "utility": self.utility,
-                        "cache": self.cache.snapshot(),
-                        "keys": pending,
-                        "chaos": self.chaos,
-                    }
-                    with self._make_dispatcher(state, _subset_chunk) as dispatcher:
-                        results = dispatcher.dispatch(bounds)
-                    for start, chunk_values, new_entries, evals, counters in results:
-                        for key, value in zip(
-                            pending[start : start + len(chunk_values)], chunk_values
-                        ):
-                            values[key] = value
-                        self._merge_worker(new_entries, evals, counters, count_lookups=False)
-            self._record_stats_delta(stats_before)
+                        for a, b in self._chunks(len(pending))
+                    ],
+                    count_lookups=False,
+                )
+                # A warm worker may have answered from its local cache (no
+                # new entry); the driver memo still learns every requested
+                # subset.
+                for key, value in zip(pending, chain.from_iterable(outputs)):
+                    values[key] = value
+                    self.cache.put(key, value)
             return np.asarray([values[key] for key in keys])
 
     # ------------------------------------------------------------------ #
@@ -773,8 +764,8 @@ class ValuationEngine:
 
         ``deadline_s`` bounds this call's wall clock and ``max_evals`` the
         run's cumulative utility evaluations (including evaluations
-        restored from a resumed checkpoint); both are checked at wave
-        boundaries and stop the run with a *partial* accumulator state —
+        restored from a resumed checkpoint); both are checked before each
+        wave starts and stop the run with a *partial* accumulator state —
         ``converged=False`` and the appropriate ``stop_reason`` — instead
         of raising. A budget of exactly zero is a valid degenerate case:
         the call returns immediately with a well-formed zero-permutation
@@ -803,277 +794,127 @@ class ValuationEngine:
         if max_evals is not None and max_evals < 0:
             raise ValueError("max_evals must be >= 0 (or None)")
         n = self.n_train
-        if weights is None:
-            weights = np.ones(n)
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (n,):
-                raise ValueError("weights must have one entry per position")
-        started = time.perf_counter()
-        evals_at_entry = int(self.utility.n_evaluations)
-        supervision_before = self.supervision.to_dict()
-        stream = self._ordering_stream(seed, antithetic)
-        orderings: list[np.ndarray] = []
-
-        # -- checkpoint identity + resume ------------------------------- #
-        store = self.checkpoint
-        fingerprint = None
-        totals = np.zeros(n)
-        sumsq = np.zeros(n)
-        scanned = 0
-        truncated = 0
-        evals_resumed = 0
-        elapsed_prior = 0.0
-        resumed_from = 0
-        finished_on_load: str | None = None
-        if store is not None:
-            fingerprint = config_fingerprint(
-                {
-                    "kind": "permutation",
-                    "n_train": n,
-                    "seed": seed,
-                    "n_permutations": n_permutations,
-                    "weights": weights,
-                    "truncation_tolerance": truncation_tolerance,
-                    "convergence_tolerance": convergence_tolerance,
-                    "check_every": check_every,
-                    "antithetic": antithetic,
-                }
-            )
-            if self.resume:
-                snapshot = store.load_matching("permutation", fingerprint)
-                if snapshot is not None:
-                    totals = np.asarray(snapshot["totals"], dtype=float)
-                    sumsq = np.asarray(snapshot["sumsq"], dtype=float)
-                    scanned = int(snapshot["completed"])
-                    truncated = int(snapshot["truncated_scans"])
-                    evals_resumed = int(snapshot.get("n_evaluations", 0))
-                    elapsed_prior = float(snapshot.get("elapsed_s", 0.0))
-                    resumed_from = scanned
-                    if snapshot.get("finished"):
-                        finished_on_load = str(
-                            snapshot.get("stop_reason", "completed")
-                        )
-
-        def spent_evals() -> int:
-            return (
-                evals_resumed
-                + int(self.utility.n_evaluations)
-                - evals_at_entry
-            )
-
-        stopped = False
-        converged = True
-        stop_reason = "completed"
-        max_stderr: float | None = None
-
-        if finished_on_load is not None:
+        weights = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+        if weights.shape != (n,):
+            raise ValueError("weights must have one entry per position")
+        acc = _PermutationAccumulator(
+            self,
+            {
+                "n_train": n,
+                "seed": seed,
+                "n_permutations": n_permutations,
+                "weights": weights,
+                "truncation_tolerance": truncation_tolerance,
+                "convergence_tolerance": convergence_tolerance,
+                "check_every": check_every,
+                "antithetic": antithetic,
+            },
+        )
+        if acc.finished is not None:
             # The checkpointed run already finished — nothing to redo.
-            run = PermutationRun(
-                totals=totals,
-                counts=np.full(n, scanned, dtype=float),
-                sumsq=sumsq,
-                n_permutations=scanned,
-                truncated_scans=truncated,
-                stopped_early=finished_on_load == "converged",
-                max_stderr=None,
-                converged=finished_on_load in ("completed", "converged"),
-                stop_reason=finished_on_load,
-                n_evaluations=evals_resumed,
-                elapsed_s=elapsed_prior,
-                resumed_from=resumed_from,
-            )
-            if convergence_tolerance is not None and scanned >= 2:
-                run.max_stderr = float(np.max(run.stderr()))
-                if finished_on_load == "completed":
-                    # The stored run spent its full budget; whether it
-                    # "converged" depends on the tolerance being asked now.
-                    run.converged = run.max_stderr <= convergence_tolerance
-            return run
+            acc.converged(convergence_tolerance)
+            return acc.run(acc.finished, convergence_tolerance)
 
-        run_span = _obs.span(
-            "engine.run_permutations",
-            n_train=n,
-            n_permutations=n_permutations,
-            n_workers=self.n_workers,
-            antithetic=antithetic,
-            seed=seed,
-        )
-        run_span.__enter__()
-        stats_before = self._stats_baseline()
-        # Budgets already spent at entry — zero budgets, or a resumed run
-        # handed the max_evals it had already consumed. Skip even the
-        # null/full anchor evaluations ("return immediately" means zero
-        # utility calls) and let the loop's first boundary check produce
-        # the well-formed partial result.
-        exhausted_at_entry = (
-            max_evals is not None and spent_evals() >= max_evals
-        ) or (deadline_s is not None and deadline_s <= 0)
-        null = 0.0 if exhausted_at_entry else self.evaluate(())
-        full = (
-            self.evaluate(range(n))
-            if truncation_tolerance > 0.0 and not exhausted_at_entry
-            else None
-        )
+        def spent() -> str | None:
+            """The budget this call has exhausted, if any."""
+            if max_evals is not None and acc.n_evaluations() >= max_evals:
+                return "eval_budget"
+            if deadline_s is not None and time.perf_counter() - acc.started >= deadline_s:
+                return "deadline"
+            return None
+
         # Waves exist wherever a boundary decision is needed: convergence
         # checks, budget checks, checkpoint snapshots, or progress streams.
         bounded = (
             convergence_tolerance is not None
             or deadline_s is not None
             or max_evals is not None
-            or store is not None
+            or self.checkpoint is not None
             or progress_callback is not None
         )
         wave = max(1, int(check_every)) if bounded else n_permutations
-        # Either a WorkerPool (persistent fleet, shared-memory data plane)
-        # or a per-run ChunkDispatcher (legacy fork-per-run) — or None for
-        # serial. _scan_range routes on the type.
-        executor: WorkerPool | ChunkDispatcher | None = None
-
-        def save_checkpoint(finished: bool) -> None:
-            if store is None:
-                return
-            store.save(
-                {
-                    "kind": "permutation",
-                    "fingerprint": fingerprint,
-                    "n_train": n,
-                    "seed": seed,
-                    "n_permutations": n_permutations,
-                    "completed": scanned,
-                    "totals": totals.tolist(),
-                    "sumsq": sumsq.tolist(),
-                    "truncated_scans": truncated,
-                    "n_evaluations": spent_evals(),
-                    "elapsed_s": elapsed_prior
-                    + (time.perf_counter() - started),
-                    "finished": finished,
-                    "stop_reason": stop_reason if finished else None,
-                }
-            )
-
-        try:
-            if not exhausted_at_entry and self._parallel(n_permutations - scanned):
-                executor = self._resolve_pool()
-                if executor is None:
-                    # Forked workers see only what was drawn before the fork.
-                    orderings.extend(islice(stream, n_permutations))
-                    state = {
-                        "utility": self.utility,
-                        "cache": self.cache.snapshot(),
-                        "orderings": orderings,
-                        "weights": weights,
-                        "truncation_tolerance": truncation_tolerance,
-                        "null": null,
-                        "full": full,
-                        "chaos": self.chaos,
-                    }
-                    executor = self._make_dispatcher(state, _permutation_chunk)
-            start = scanned
-            while start < n_permutations:
-                # Budgets already exhausted (e.g. a resumed run handed the
-                # same max_evals): stop before paying for another wave.
-                if max_evals is not None and spent_evals() >= max_evals:
-                    stopped, converged, stop_reason = True, False, "eval_budget"
-                    break
-                if (
-                    deadline_s is not None
-                    and time.perf_counter() - started >= deadline_s
-                ):
-                    stopped, converged, stop_reason = True, False, "deadline"
-                    break
-                stop = min(start + wave, n_permutations)
-                orderings.extend(islice(stream, max(0, stop - len(orderings))))
-                with _obs.span("engine.wave", start=start, stop=stop) as wave_span:
-                    deltas, wave_truncated = self._scan_range(
-                        orderings, start, stop, weights, truncation_tolerance,
-                        null, full, executor,
-                    )
-                    # Accumulate one permutation at a time so the FP summation
-                    # order matches the serial path for every worker count.
-                    for row in deltas:
-                        totals += row
-                        sumsq += row * row
-                    truncated += wave_truncated
-                    scanned = stop
-                    if convergence_tolerance is not None and scanned >= 2:
-                        run = PermutationRun(
-                            totals, np.full(n, scanned, dtype=float), sumsq,
-                            scanned, truncated, False, None,
-                        )
-                        max_stderr = float(np.max(run.stderr()))
-                        if _obs.enabled():
-                            # SE trajectory: one observation per wave boundary.
-                            wave_span.set(max_stderr=max_stderr)
-                            _obs_metrics.histogram("engine.wave_max_stderr").observe(
-                                max_stderr
-                            )
-                        if max_stderr <= convergence_tolerance:
-                            stopped = True
+        supervision_before = self.supervision.to_dict()
+        # A budget spent at entry — a zero budget, or a resumed run handed
+        # the max_evals it already consumed — skips even the null/full
+        # anchor evaluations: "return immediately" means zero utility calls.
+        exhausted = spent() is not None
+        with _obs.span(
+            "engine.run_permutations",
+            n_train=n,
+            n_permutations=n_permutations,
+            n_workers=self.n_workers,
+            antithetic=antithetic,
+            seed=seed,
+        ) as run_span, self._stats_window():
+            scan = {
+                "weights": weights,
+                "truncation_tolerance": truncation_tolerance,
+                "null": 0.0 if exhausted else self.evaluate(()),
+                "full": (
+                    self.evaluate(range(n))
+                    if truncation_tolerance > 0.0 and not exhausted
+                    else None
+                ),
+            }
+            tasks = 0 if exhausted else n_permutations - acc.scanned
+            with self._fan_out(tasks) as pool:
+                pool_mode = pool.mode if pool is not None else None
+                # The resumed prefix is skipped lazily, on the first draw.
+                stream = islice(
+                    self._ordering_stream(seed, antithetic), acc.scanned, None
+                )
+                stop_reason = None
+                while acc.scanned < n_permutations:
+                    stop_reason = spent()
+                    if stop_reason is not None:
+                        break
+                    start = acc.scanned
+                    stop = min(start + wave, n_permutations)
+                    orderings = list(islice(stream, stop - start))
+                    with _obs.span("engine.wave", start=start, stop=stop) as wave_span:
+                        deltas, truncated = self._scan_wave(orderings, scan, pool)
+                        acc.add(deltas, truncated)
+                        if acc.converged(convergence_tolerance):
                             stop_reason = "converged"
-                    if _obs.enabled():
-                        wave_span.set(truncated=wave_truncated)
-                        _obs_metrics.counter("engine.permutations").inc(stop - start)
-                if not stopped:
-                    if max_evals is not None and spent_evals() >= max_evals:
-                        stopped, converged, stop_reason = True, False, "eval_budget"
-                    elif (
-                        deadline_s is not None
-                        and time.perf_counter() - started >= deadline_s
-                    ):
-                        stopped, converged, stop_reason = True, False, "deadline"
-                save_checkpoint(
-                    finished=stop_reason in ("completed", "converged")
-                    and (stopped or scanned >= n_permutations)
-                )
-                if progress_callback is not None:
-                    snapshot_run = PermutationRun(
-                        totals, np.full(n, scanned, dtype=float), sumsq,
-                        scanned, truncated, False, max_stderr,
+                        if _obs.enabled():
+                            if acc.max_stderr is not None:
+                                # SE trajectory: one observation per wave.
+                                wave_span.set(max_stderr=acc.max_stderr)
+                                _obs_metrics.histogram(
+                                    "engine.wave_max_stderr"
+                                ).observe(acc.max_stderr)
+                            wave_span.set(truncated=truncated)
+                            _obs_metrics.counter("engine.permutations").inc(
+                                stop - start
+                            )
+                    acc.checkpoint(
+                        stop_reason
+                        or ("completed" if acc.scanned >= n_permutations else None)
                     )
-                    progress_callback(
-                        {
-                            "completed": scanned,
-                            "target": n_permutations,
-                            "values": snapshot_run.values(),
-                            "stderr": snapshot_run.stderr(),
-                            "max_stderr": max_stderr,
-                            "n_evaluations": spent_evals(),
-                            "elapsed_s": elapsed_prior
-                            + (time.perf_counter() - started),
-                        }
-                    )
-                if stopped:
-                    break
-                start = stop
-            if (
-                not stopped
-                and convergence_tolerance is not None
-                and scanned >= n_permutations
-            ):
-                # Full budget spent without reaching the tolerance.
-                converged = (
-                    max_stderr is not None
-                    and max_stderr <= convergence_tolerance
-                )
-        finally:
-            # Per-run dispatchers die with the run; a pool outlives it.
-            if isinstance(executor, ChunkDispatcher):
-                executor.close()
-            if _obs.enabled():
-                run_span.set(
-                    n_permutations_run=scanned,
-                    truncated_scans=truncated,
-                    stopped_early=stopped,
-                    max_stderr=max_stderr,
-                )
-                self._record_stats_delta(stats_before)
-            run_span.__exit__(None, None, None)
-        supervision_delta = {
-            key: self.supervision.to_dict()[key] - supervision_before[key]
-            for key in supervision_before
-        }
+                    if progress_callback is not None:
+                        progress = acc.run()
+                        progress_callback(
+                            {
+                                "completed": acc.scanned,
+                                "target": n_permutations,
+                                "values": progress.values(),
+                                "stderr": progress.stderr(),
+                                "max_stderr": acc.max_stderr,
+                                "n_evaluations": progress.n_evaluations,
+                                "elapsed_s": progress.elapsed_s,
+                            }
+                        )
+                    if stop_reason is not None:
+                        break
+            run_span.set(
+                n_permutations_run=acc.scanned,
+                truncated_scans=acc.truncated,
+                stopped_early=stop_reason is not None,
+                max_stderr=acc.max_stderr,
+            )
+        run = acc.run(stop_reason or "completed", convergence_tolerance)
         if self.ledger is not None:
+            supervision = self.supervision.to_dict()
             self.ledger.record_event(
                 "valuation",
                 config={
@@ -1081,47 +922,37 @@ class ValuationEngine:
                     "n_permutations": n_permutations,
                     "seed": seed,
                     "n_workers": self.n_workers,
-                    "pool_mode": (
-                        executor.mode
-                        if isinstance(executor, WorkerPool)
-                        else None
-                    ),
+                    "pool_mode": pool_mode,
                     "antithetic": antithetic,
                     "truncation_tolerance": truncation_tolerance,
                     "convergence_tolerance": convergence_tolerance,
                     "deadline_s": deadline_s,
                     "max_evals": max_evals,
-                    "checkpoint": str(store.path) if store is not None else None,
+                    "checkpoint": (
+                        str(self.checkpoint.path)
+                        if self.checkpoint is not None
+                        else None
+                    ),
                 },
                 stats={
-                    "n_permutations_run": scanned,
-                    "resumed_from": resumed_from,
-                    "truncated_scans": truncated,
-                    "stopped_early": stopped,
-                    "converged": converged if stopped or scanned else None,
-                    "stop_reason": stop_reason,
-                    "max_stderr": max_stderr,
+                    "n_permutations_run": run.n_permutations,
+                    "resumed_from": run.resumed_from,
+                    "truncated_scans": run.truncated_scans,
+                    "stopped_early": stop_reason is not None,
+                    "converged": run.converged,
+                    "stop_reason": run.stop_reason,
+                    "max_stderr": run.max_stderr,
                     "evaluations": int(self.utility.n_evaluations)
-                    - evals_at_entry,
+                    - acc.evals_at_entry,
                     "cache": self.cache.stats(),
-                    "supervision": supervision_delta,
+                    "supervision": {
+                        key: supervision[key] - value
+                        for key, value in supervision_before.items()
+                    },
                 },
-                wall_time_s=time.perf_counter() - started,
+                wall_time_s=time.perf_counter() - acc.started,
             )
-        return PermutationRun(
-            totals=totals,
-            counts=np.full(n, scanned, dtype=float),
-            sumsq=sumsq,
-            n_permutations=scanned,
-            truncated_scans=truncated,
-            stopped_early=stopped and stop_reason == "converged",
-            max_stderr=max_stderr,
-            converged=converged if stop_reason != "converged" else True,
-            stop_reason=stop_reason,
-            n_evaluations=spent_evals(),
-            elapsed_s=elapsed_prior + (time.perf_counter() - started),
-            resumed_from=resumed_from,
-        )
+        return run
 
     def result_from_run(
         self, run: PermutationRun, n_permutations_target: int
@@ -1137,17 +968,12 @@ class ValuationEngine:
                 "n_permutations_run": run.n_permutations,
                 "resumed_from": run.resumed_from,
                 "truncated_scans": run.truncated_scans,
+                **self.stats(),
+                # The run's census, a resumed run's earlier invocations
+                # included — not the utility's lifetime count.
                 "n_evaluations": run.n_evaluations,
                 "elapsed_s": run.elapsed_s,
                 "max_stderr": run.max_stderr,
-                "cache": self.cache.stats(),
-                "supervision": self.supervision.to_dict(),
-                "n_workers": self.n_workers,
-                "pool": (
-                    self._pool.stats()
-                    if self._pool is not None and not self._pool.closed
-                    else None
-                ),
             },
         )
 
@@ -1155,15 +981,35 @@ class ValuationEngine:
     # internals                                                          #
     # ------------------------------------------------------------------ #
 
-    def _parallel(self, n_tasks: int) -> bool:
+    @contextmanager
+    def _fan_out(self, n_tasks: int) -> Iterator[WorkerPool | None]:
+        """The pool one call's fan-outs run on; None runs the call serially.
+
+        An owned, borrowed or registry-leased pool serves the call; failing
+        that, the call leases a pool of its own — fork start, no warmup
+        (chunks are numbered from 0 and no span is added), no ledger — and
+        closes it on the way out, or runs serially, with one warning, where
+        fork is unavailable.
+        """
         if self.n_workers <= 1 or n_tasks <= 1:
-            return False
-        if self._resolve_pool() is not None:
-            return True
-        if _FORK_CTX is None:
+            yield None
+            return
+        pool = self._resolve_pool()
+        if pool is not None:
+            yield pool
+        elif _FORK_CTX is None:
             _warn_no_fork("engine")
-            return False
-        return True
+            yield None
+        else:
+            with WorkerPool(
+                self.utility,
+                self.n_workers,
+                start_method="fork",
+                warmup=False,
+                chunk_timeout_s=self.chunk_timeout_s,
+                chaos=self.chaos,
+            ) as lease:
+                yield lease
 
     def _resolve_pool(self) -> WorkerPool | None:
         """The pool fan-outs run on: owned, borrowed, or registry-leased."""
@@ -1184,61 +1030,35 @@ class ValuationEngine:
                 return None
         return None
 
-    def _pool_event(self, kind: str, chunk_ord: int, attempt: int) -> None:
-        """Mirror a pool-run chunk's supervision events into this engine.
+    def _chunks(self, n_items: int) -> list[tuple[int, int]]:
+        return _chunk_bounds(n_items, self.n_workers * _CHUNKS_PER_WORKER)
 
-        The pool's dispatcher accumulates into the *pool's* stats; engines
-        borrowing the fleet still need their own lifetime counters (ledger
-        events, census, ``worker_restarts``) to reflect what happened to
-        their chunks.
+    def _dispatch(
+        self, pool: WorkerPool, payloads: list[dict], count_lookups: bool
+    ) -> list[Any]:
+        """Run chunk descriptors on ``pool`` and fold each chunk's cache
+        entries and accounting into this engine; returns the chunk outputs
+        in order. The syncs around the fan-out carry the driver's warmth to
+        the workers and, after the merge, one worker's new entries to its
+        peers (and to later engines leasing the pool) as journal deltas.
+        Chunks and supervision events count into this engine's own
+        :attr:`supervision`, whoever owns the pool.
         """
-        if kind == "crash":
-            self.supervision.crashes += 1
-        elif kind == "hang":
-            self.supervision.hangs += 1
-        elif kind == "retry":
-            self.supervision.chunk_retries += 1
-        elif kind == "restart":
-            self.supervision.worker_restarts += 1
-        self.supervision.events.append(
-            {"kind": kind, "chunk": chunk_ord, "attempt": attempt}
-        )
-        self._supervision_event(kind, chunk_ord, attempt)
-
-    def _make_dispatcher(
-        self, state: dict, task_fn: Callable[[dict, Any], Any]
-    ) -> ChunkDispatcher:
-        return ChunkDispatcher(
-            _FORK_CTX,
-            self.n_workers,
-            state,
-            task_fn,
-            deadline=DeadlinePolicy(
-                hard_timeout_s=self.chunk_timeout_s, factor=self.hang_factor
-            ),
-            max_chunk_retries=self.max_chunk_retries,
-            max_worker_restarts=self.max_worker_restarts,
-            stats=self.supervision,
-            on_event=self._supervision_event,
-            telemetry_sink=self._absorb_telemetry,
-        )
-
-    def _absorb_telemetry(self, items: Sequence[tuple[int, int, Any]]) -> None:
-        """Merge worker telemetry from a fork-dispatcher fan-out: metric
-        deltas into the registry, spans adopted under per-slot ``worker[i]``
-        groups beneath the open wave span (same shape as the pool path)."""
-        groups: dict[int, Any] = {}
-        for slot, __chunk_id, delta in items:
-            _obs.merge_worker_telemetry(slot, delta, groups)
-
-    def _pool_metrics(self, bounds: Sequence[tuple[int, int]]) -> None:
         if _obs.enabled():
             # Utilization: fraction of the configured pool this fan-out
             # keeps busy (short waves can have fewer chunks than workers).
-            _obs_metrics.counter("engine.pool.tasks").inc(len(bounds))
+            _obs_metrics.counter("engine.pool.tasks").inc(len(payloads))
             _obs_metrics.histogram("engine.pool.utilization").observe(
-                min(1.0, len(bounds) / self.n_workers)
+                min(1.0, len(payloads) / self.n_workers)
             )
+        pool.sync_cache(self.cache._data)
+        results = pool.dispatch(payloads, self.supervision)
+        outputs = []
+        for __, output, entries, evals, counters, __meta in results:
+            self._merge_worker(dict(entries), evals, counters, count_lookups)
+            outputs.append(output)
+        pool.sync_cache(self.cache._data)
+        return outputs
 
     def _ordering_stream(
         self, seed: int, antithetic: bool
@@ -1259,90 +1079,37 @@ class ValuationEngine:
         """The first ``n_permutations`` orderings of the master stream."""
         return list(islice(self._ordering_stream(seed, antithetic), n_permutations))
 
-    def _scan_range(
-        self,
-        orderings: Sequence[np.ndarray],
-        start: int,
-        stop: int,
-        weights: np.ndarray,
-        truncation_tolerance: float,
-        null: float,
-        full: float | None,
-        executor: "WorkerPool | ChunkDispatcher | None",
+    def _scan_wave(
+        self, orderings: Sequence[np.ndarray], scan: dict, pool: WorkerPool | None
     ) -> tuple[np.ndarray, int]:
-        if executor is None:
-            return _scan_orderings(
-                self._memo,
-                orderings[start:stop],
-                weights,
-                truncation_tolerance,
-                null,
-                full,
-            )
-        answered = self._scan_from_memo(
-            orderings[start:stop], weights, truncation_tolerance, null, full
-        )
+        """One wave's marginal rows and truncated-scan count; ``scan`` holds
+        the run's ``weights``, ``truncation_tolerance``, ``null``, ``full``."""
+        if pool is None:
+            return _scan_orderings(self._memo, orderings, **scan)
+        answered = self._scan_from_memo(orderings, scan)
         if answered is not None:
             return answered
-        bounds = _chunk_bounds(
-            stop - start, self.n_workers * self.chunks_per_worker
+        outputs = self._dispatch(
+            pool,
+            [
+                {"kind": "permutation", "orderings": orderings[a:b], **scan}
+                for a, b in self._chunks(len(orderings))
+            ],
+            count_lookups=True,
         )
-        self._pool_metrics(bounds)
-        if isinstance(executor, WorkerPool):
-            # Stream chunk descriptors only: the orderings slice plus scan
-            # knobs. The dataset crossed once, at pool creation; the
-            # driver's cache warmth rides along as journal deltas.
-            executor.sync_cache(self.cache._data)
-            payloads = [
-                {
-                    "kind": "permutation",
-                    "orderings": orderings[start + a : start + b],
-                    "weights": weights,
-                    "truncation_tolerance": truncation_tolerance,
-                    "null": null,
-                    "full": full,
-                }
-                for a, b in bounds
-            ]
-            results = executor.dispatch(payloads, on_event=self._pool_event)
-            self.supervision.chunks_completed += len(payloads)
-            deltas = np.concatenate([item[1] for item in results], axis=0)
-            truncated = 0
-            for __, __d, chunk_truncated, entries, evals, counters, __m in results:
-                truncated += chunk_truncated
-                self._merge_worker(
-                    dict(entries), evals, counters, count_lookups=True
-                )
-            # Post-merge sync: entries one worker evaluated reach its peers
-            # (and future engines leasing this pool) via the journal, so a
-            # warm pool answers from memory fleet-wide, not per process.
-            executor.sync_cache(self.cache._data)
-            return deltas, truncated
-        results = executor.dispatch(
-            [(start + a, start + b) for a, b in bounds]
-        )
-        deltas = np.concatenate([item[1] for item in results], axis=0)
-        truncated = 0
-        for __, __deltas, chunk_truncated, new_entries, evals, counters in results:
-            truncated += chunk_truncated
-            self._merge_worker(new_entries, evals, counters, count_lookups=True)
-        return deltas, truncated
+        deltas = np.concatenate([chunk for chunk, __ in outputs], axis=0)
+        return deltas, sum(truncated for __, truncated in outputs)
 
     def _scan_from_memo(
-        self,
-        orderings: Sequence[np.ndarray],
-        weights: np.ndarray,
-        truncation_tolerance: float,
-        null: float,
-        full: float | None,
+        self, orderings: Sequence[np.ndarray], scan: dict
     ) -> tuple[np.ndarray, int] | None:
         """Scan a wave from the driver's memo alone; None at the first miss.
 
         A warm engine, or one that adopted a warm pool, often holds every
-        subset a wave needs: answering it here skips the fork or pool
-        dispatch and the cache syncs around it. Hits are counted only when
-        the whole wave is answered, so a wave that does dispatch is counted
-        once, from the workers' lookups, exactly as before.
+        subset a wave needs: answering it here skips the pool dispatch and
+        the cache syncs around it. Hits are counted only when the whole
+        wave is answered, so a wave that does dispatch is counted once,
+        from the workers' lookups, exactly as before.
         """
         memo = self.cache._data
         hits = 0
@@ -1356,9 +1123,7 @@ class ValuationEngine:
             return value
 
         try:
-            answered = _scan_orderings(
-                lookup, orderings, weights, truncation_tolerance, null, full
-            )
+            answered = _scan_orderings(lookup, orderings, **scan)
         except _MemoMiss:
             return None
         self.cache.hits += hits
@@ -1433,10 +1198,11 @@ def parallel_map(func: Callable, items: Sequence, n_workers: int = 1) -> list:
     if pool is not None:
         try:
             return pool.map(func, items, n_chunks=min(n_workers, len(items)))
-        except ChunkFailure:
-            # The fleet kept failing on this function (e.g. it unpickles
-            # only in the driver); a per-call forked fleet inherits it
-            # directly, so fall through rather than give up.
+        except RuntimeError:
+            # The fleet kept failing on this function (ChunkFailure: e.g. it
+            # unpickles only in the driver), or the pool closed under us (a
+            # call-scoped pool ends with its call); a per-call forked fleet
+            # inherits ``func`` directly, so fall through rather than give up.
             pool = None
     if _FORK_CTX is None:
         _warn_no_fork("map")

@@ -1,21 +1,24 @@
-"""Persistent worker pool for the valuation engine.
+"""Worker pools: the valuation engine's only parallel executor.
 
-The engine's original fan-out forked a fresh fleet per call: every
-``run_permutations`` / ``evaluate_many`` paid process creation, a subset
-cache snapshot, and (on worker restart) re-inheriting the whole driver
-address space. ``benchmarks/results/engine_speedup.json`` recorded the
-bill — a cold "speedup" *below 1×*. This module replaces that with the
-amortized substrate the Datascope line of work presupposes:
+Every parallel fan-out of
+:class:`~repro.importance.engine.ValuationEngine` runs on a
+:class:`WorkerPool`. A pool that outlives the call — owned by the engine,
+borrowed from the caller, or leased from a :class:`PoolRegistry` — pays
+process creation and the dataset publish once and keeps its workers'
+subset caches warm across waves, runs and engines: the amortized substrate
+the Datascope line of work presupposes. An engine with no such pool leases
+a call-scoped one (fork start, no warmup, no ledger) that its
+``run_permutations`` / ``evaluate_many`` call closes on the way out.
 
 :class:`WorkerPool`
-    A long-lived, supervised fleet created **once**. The training and
-    validation arrays are published a single time into a
+    A supervised fleet. The training and validation arrays are published
+    a single time into a
     :class:`~repro.importance.shm.SharedArrayBundle`; workers rebuild the
     utility around zero-copy read-only views and keep a process-local
     subset cache that persists across waves, runs, and even across
     engines sharing the pool. After creation, the driver streams only
     small *chunk descriptors* — ordering slices, subset keys, seeds/knobs
-    — over the existing :class:`~repro.importance.supervision.ChunkDispatcher`
+    — over the :class:`~repro.importance.supervision.ChunkDispatcher`
     pipes. A crashed or hung worker is replaced by a process that
     *re-attaches* to the shared segments instead of re-copying the
     dataset, and the driver replays its subset-cache journal so the
@@ -42,7 +45,8 @@ Start methods: ``fork`` is preferred (cheap worker replacement). On
 spawn-only platforms the pool still runs — shared memory plus picklable
 chunk descriptors need no fork — provided the utility's model/metric
 pickle; otherwise pool construction raises :class:`PoolUnavailable` and
-the engine degrades loudly (see ``_warn_no_fork`` in the engine module).
+the engine degrades loudly to serial (see ``_warn_no_fork`` in the engine
+module).
 
 Thread safety: one pool is routinely shared across threads — the service
 runtime runs handlers concurrently and :class:`PoolRegistry` hands every
@@ -87,6 +91,14 @@ _JOURNAL_CAP = 65536
 
 #: Arrays a standard :class:`~repro.importance.utility.Utility` carries.
 _UTILITY_ARRAYS = ("x_train", "y_train", "x_valid", "y_valid")
+
+#: Minimum adaptive hang deadline. A pool observes wildly heterogeneous
+#: chunk latencies — sub-millisecond warmup pings and warm-cache chunks
+#: next to multi-second cold model fits — so a short floor would flag
+#: ordinary cold chunks as hung whenever the recent window happens to be
+#: fast. Five seconds keeps genuine infinite hangs detected without ever
+#: tripping on the warm-to-cold latency cliff.
+_HANG_FLOOR_S = 5.0
 
 
 class PoolUnavailable(RuntimeError):
@@ -147,8 +159,11 @@ def _pool_local(state: dict) -> dict:
 def _pool_task(state: dict, payload: Mapping[str, Any]):
     """Execute one chunk descriptor; safe to re-execute after crash/hang.
 
-    Every result tuple ends with ``meta`` — None except on a worker's
-    first completed chunk, where it carries the attach latency.
+    Every result tuple carries its output at index 1 and ends with
+    ``meta`` — None except on a worker's first completed chunk, where it
+    carries the attach latency. Permutation and subset chunks share one
+    layout, ``(kind, output, new_entries, evals, counters, meta)``; a
+    permutation chunk's output is ``(deltas, truncated_scans)``.
     """
     local = _pool_local(state)
     cache: dict = local["cache"]
@@ -182,7 +197,7 @@ def _pool_task(state: dict, payload: Mapping[str, Any]):
     if kind == "permutation":
         from .engine import _scan_orderings
 
-        deltas, truncated = _scan_orderings(
+        output: Any = _scan_orderings(
             evaluate,
             payload["orderings"],
             payload["weights"],
@@ -190,30 +205,13 @@ def _pool_task(state: dict, payload: Mapping[str, Any]):
             payload["null"],
             payload["full"],
         )
-        evals = utility.n_evaluations - evals_before
-        _note_worker_counters(evals, counters)
-        return (
-            "permutation",
-            deltas,
-            truncated,
-            list(new_entries.items()),
-            evals,
-            counters,
-            meta,
-        )
-    if kind == "subset":
-        values = [evaluate(tuple(key)) for key in payload["keys"]]
-        evals = utility.n_evaluations - evals_before
-        _note_worker_counters(evals, counters)
-        return (
-            "subset",
-            values,
-            list(new_entries.items()),
-            evals,
-            counters,
-            meta,
-        )
-    raise ValueError(f"unknown pool task kind: {kind!r}")  # pragma: no cover
+    elif kind == "subset":
+        output = [evaluate(tuple(key)) for key in payload["keys"]]
+    else:  # pragma: no cover
+        raise ValueError(f"unknown pool task kind: {kind!r}")
+    evals = utility.n_evaluations - evals_before
+    _note_worker_counters(evals, counters)
+    return (kind, output, list(new_entries.items()), evals, counters, meta)
 
 
 def _note_worker_counters(evals: int, counters: Sequence[int]) -> None:
@@ -307,7 +305,10 @@ _OPEN_POOLS_LOCK = threading.Lock()
 
 
 class WorkerPool:
-    """Long-lived supervised fleet with a shared-memory data plane.
+    """Supervised worker fleet: the engine's only parallel executor.
+
+    Long-lived (owned, borrowed or registry-leased) or scoped to one engine
+    call, with a shared-memory data plane.
 
     Parameters
     ----------
@@ -322,24 +323,21 @@ class WorkerPool:
         ``"fork"``, ``"spawn"``, or None for the platform preference
         (fork where available).
     warmup:
-        Dispatch one ping per worker at construction so processes start,
-        attach to the segments, and report attach latency before the
-        first real chunk arrives. Setup cost is paid here, once, instead
-        of inside the first valuation call.
+        Dispatch one ping per worker at construction, inside an
+        ``engine.pool.lifecycle`` span, so processes start, attach to the
+        segments, and report attach latency before the first real chunk
+        arrives. Setup cost is paid here, once, instead of inside the
+        first valuation call. Without warmup, workers start on the first
+        dispatch and chunks are numbered from 0 by real work alone.
     ledger:
         Optional :class:`repro.obs.RunLedger`; the pool appends a
         ``"pool"`` lifecycle event at close (workers, chunks, shm bytes,
         restarts).
-    chunk_timeout_s, hang_factor, max_chunk_retries, max_worker_restarts:
-        Supervision knobs, exactly as on the engine.
-    hang_floor_s:
-        Minimum adaptive hang deadline. A persistent pool observes wildly
-        heterogeneous chunk latencies — sub-millisecond warmup pings and
-        warm-cache chunks next to multi-second cold model fits — so the
-        per-run default floor would flag ordinary cold chunks as hung
-        whenever the recent window happens to be fast. Five seconds keeps
-        genuine infinite hangs detected without ever tripping on the
-        warm-to-cold latency cliff.
+    chunk_timeout_s:
+        Hard per-chunk deadline for hang detection. Default None: the
+        deadline adapts to 8× the p95 of recent chunk latencies, floored
+        at 5 s. A chunk is retried at most 3 times, and workers restart
+        at most 32 times over the pool's lifetime.
     chaos:
         Optional ChaosMonkey forwarded into workers (fork mode, or spawn
         when picklable) for fault-injection tests.
@@ -353,10 +351,6 @@ class WorkerPool:
         warmup: bool = True,
         ledger: Any | None = None,
         chunk_timeout_s: float | None = None,
-        hang_factor: float = 8.0,
-        hang_floor_s: float = 5.0,
-        max_chunk_retries: int = 3,
-        max_worker_restarts: int = 32,
         chaos: Any | None = None,
     ) -> None:
         import multiprocessing as mp
@@ -428,20 +422,7 @@ class WorkerPool:
         self._workers_alive = 0
         self._spawns = 0
         self.chunks_dispatched = 0
-        self.chunks_requeued = 0
         self.attach_latencies: list[float] = []
-        self._on_event_extra: Callable[[str, int, int], None] | None = None
-
-        self._span = None
-        if _obs.enabled():
-            self._span = _obs.span(
-                "engine.pool.lifecycle",
-                n_workers=self.n_workers,
-                mode=self.mode,
-                shm_bytes=self.shm_bytes,
-                fingerprint=self.fingerprint,
-            )
-            self._span.__enter__()
 
         self.dispatcher = ChunkDispatcher(
             mp.get_context(start_method),
@@ -449,25 +430,28 @@ class WorkerPool:
             state,
             _pool_task,
             deadline=DeadlinePolicy(
-                hard_timeout_s=chunk_timeout_s,
-                factor=hang_factor,
-                floor_s=hang_floor_s,
+                hard_timeout_s=chunk_timeout_s, floor_s=_HANG_FLOOR_S
             ),
-            max_chunk_retries=max_chunk_retries,
-            max_worker_restarts=max_worker_restarts,
             stats=self.supervision,
-            on_event=self._on_event,
             payload_hook=self._payload_hook,
             on_worker_start=self._on_worker_start,
-            telemetry_sink=self._absorb_telemetry,
         )
         setup_started = time.perf_counter()
         if warmup:
-            self._collect_meta(
-                self.dispatcher.dispatch(
-                    [{"kind": "ping"} for __ in range(self.n_workers)]
+            # A closed span: later driver spans on this thread must not
+            # nest under a pool that merely happens to be alive.
+            with _obs.span(
+                "engine.pool.lifecycle",
+                n_workers=self.n_workers,
+                mode=self.mode,
+                shm_bytes=self.shm_bytes,
+                fingerprint=self.fingerprint,
+            ):
+                self._collect_meta(
+                    self.dispatcher.dispatch(
+                        [{"kind": "ping"} for __ in range(self.n_workers)]
+                    )
                 )
-            )
         self.setup_s = time.perf_counter() - setup_started
         with _OPEN_POOLS_LOCK:
             _OPEN_POOLS.append(weakref.ref(self))
@@ -542,15 +526,6 @@ class WorkerPool:
             return payload
         return {**payload, **extra}
 
-    def _absorb_telemetry(self, items: Sequence[tuple[int, int, Any]]) -> None:
-        """Merge worker telemetry shipped with one fan-out's results:
-        metric deltas into the registry, spans adopted under per-slot
-        ``worker[i]`` group spans beneath the currently open driver span
-        (the engine's wave span, or the pool lifecycle span at warmup)."""
-        groups: dict[int, Any] = {}
-        for slot, __chunk_id, delta in items:
-            _obs.merge_worker_telemetry(slot, delta, groups)
-
     def _on_worker_start(self, slot: int) -> None:
         """A process now occupies ``slot`` with an empty local cache.
 
@@ -567,16 +542,6 @@ class WorkerPool:
                 self._workers_alive
             )
             _obs_metrics.counter("engine.pool.worker_starts").inc()
-
-    def _on_event(self, kind: str, chunk_ord: int, attempt: int) -> None:
-        if kind == "retry":
-            self.chunks_requeued += 1
-            if _obs.enabled():
-                _obs_metrics.counter("engine.pool.chunks_requeued").inc()
-        if _obs.enabled() and kind in ("crash", "hang", "restart"):
-            _obs_metrics.counter(f"engine.pool.{kind}s").inc()
-        if self._on_event_extra is not None:
-            self._on_event_extra(kind, chunk_ord, attempt)
 
     # ------------------------------------------------------------------ #
     # borrowers                                                          #
@@ -607,14 +572,14 @@ class WorkerPool:
     def dispatch(
         self,
         payloads: Sequence[Mapping[str, Any]],
-        on_event: Callable[[str, int, int], None] | None = None,
+        stats: SupervisionStats | None = None,
     ) -> list[Any]:
         """Run chunk descriptors on the fleet; results in payload order.
 
-        ``on_event`` lets the borrowing engine bridge supervision events
-        into its own metrics/chaos accounting for the duration of one
-        fan-out. Thread-safe: concurrent callers queue on the pool lock —
-        one fan-out owns the pipes (and the ``on_event`` slot) at a time.
+        ``stats``, when given, also counts this fan-out's completed chunks
+        and supervision events — the borrowing engine's own tally.
+        Thread-safe: concurrent callers queue on the pool lock — one
+        fan-out owns the pipes at a time.
         """
         with self._lock:
             if self._closed:
@@ -624,11 +589,7 @@ class WorkerPool:
                 _obs_metrics.counter("engine.pool.chunks_dispatched").inc(
                     len(payloads)
                 )
-            self._on_event_extra = on_event
-            try:
-                results = self.dispatcher.dispatch(list(payloads))
-            finally:
-                self._on_event_extra = None
+            results = self.dispatcher.dispatch(list(payloads), stats)
             self._collect_meta(results)
             return results
 
@@ -682,7 +643,7 @@ class WorkerPool:
             "workers_alive": self._workers_alive,
             "worker_starts": self._spawns,
             "chunks_dispatched": self.chunks_dispatched,
-            "chunks_requeued": self.chunks_requeued,
+            "chunks_requeued": self.supervision.chunk_retries,
             "shm_bytes": self.shm_bytes,
             "setup_s": round(self.setup_s, 6),
             "attach_latency_s": {
@@ -712,11 +673,6 @@ class WorkerPool:
             _close_pool_resources(self)
         if _obs.enabled():
             _obs_metrics.gauge("engine.pool.workers_alive").set(0)
-        if self._span is not None:
-            self._span.set(**{"final." + k: v for k, v in stats.items()
-                              if not isinstance(v, dict)})
-            self._span.__exit__(None, None, None)
-            self._span = None
         if self.ledger is not None:
             self.ledger.record_event(
                 "pool",
@@ -776,7 +732,6 @@ class PoolRegistry:
         max_pools: int = 2,
         start_method: str | None = None,
         ledger: Any | None = None,
-        **pool_knobs: Any,
     ) -> None:
         if max_pools < 1:
             raise ValueError("max_pools must be >= 1")
@@ -784,7 +739,6 @@ class PoolRegistry:
         self.max_pools = int(max_pools)
         self.start_method = start_method
         self.ledger = ledger
-        self.pool_knobs = pool_knobs
         self._pools: dict[str, WorkerPool] = {}
         self._lock = threading.Lock()
         self.leases = 0
@@ -814,7 +768,6 @@ class PoolRegistry:
                 n_workers=workers,
                 start_method=self.start_method,
                 ledger=self.ledger,
-                **self.pool_knobs,
             )
             self._pools[fingerprint] = pool
             if len(self._pools) > self.max_pools:
@@ -864,8 +817,9 @@ class valuation_pool:
 
     Inside the block, every :class:`ValuationEngine` built with
     ``n_workers > 1`` (including via the ``nde.*_values`` facades and the
-    service runtime) leases its fleet from the registry instead of forking
-    per run — and engines over the same dataset share one warm pool::
+    service runtime) leases its fleet from the registry instead of a
+    call-scoped pool per run — and engines over the same dataset share one
+    warm pool::
 
         with nde.valuation_pool(n_workers=4):
             shap = nde.shapley_values(train_df, validation=valid_df,

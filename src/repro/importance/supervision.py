@@ -1,35 +1,42 @@
 """Worker supervision for the valuation engine's chunk fan-out.
 
-The engine's original fan-out was a bare ``multiprocessing.Pool.map``: one
-crashed worker (a segfault in a native kernel, an OOM kill, an injected
+Every parallel fan-out of the engine runs on a
+:class:`~repro.importance.pool.WorkerPool`, and every pool runs its chunks
+through one :class:`ChunkDispatcher`. Without supervision one crashed
+worker (a segfault in a native kernel, an OOM kill, an injected
 ``os._exit``) tears down the whole valuation run, and one hung worker (a
 stuck I/O call, a pathological retraining) blocks it forever. Both failure
 modes are routine at the scale the Identify track runs at — thousands of
-model retrainings across long-lived processes — and both are *recoverable*,
-because the engine's chunks are deterministic: every chunk is a slice of
-pre-drawn permutation orderings (or subset keys), so re-executing it on a
-fresh worker reproduces the same floats.
+model retrainings across long-lived processes — and both are
+*recoverable*, because the engine's chunks are deterministic: every chunk
+is a slice of permutation orderings drawn in the driver (or of subset
+keys), so re-executing it on a fresh worker reproduces the same floats.
 
-:class:`ChunkDispatcher` is the supervised replacement. Each worker is a
-forked process joined to the driver by a dedicated pipe; the driver assigns
-one chunk at a time and watches for three signals:
+Each worker is a process joined to the driver by a dedicated pipe; the
+driver assigns one chunk at a time and watches for three signals:
 
 - a **result** on the pipe — the chunk is done; its latency feeds the
   deadline estimator;
 - a **crash** — the pipe hits EOF or the process stops being alive; the
-  worker is restarted (a fresh fork inherits the driver's current state)
-  and the in-flight chunk is re-queued;
+  worker is restarted and the in-flight chunk is re-queued;
 - a **hang** — the chunk exceeds its deadline, derived from observed
   chunk-latency quantiles (:class:`DeadlinePolicy`); the worker is killed,
   restarted, and the chunk re-queued.
 
 A chunk that fails more than ``max_chunk_retries`` times raises
 :class:`ChunkFailure` (supervision cannot save a deterministically crashing
-chunk), and total restarts are capped by ``max_worker_restarts`` so a
+chunk), and restarts over the dispatcher's lifetime — a pool's, which for a
+one-shot fan-out is one call — are capped by ``max_worker_restarts`` so a
 crash-looping fleet fails loudly instead of forking forever. Results are
 returned in chunk order, so the engine's merge — and therefore the returned
 values — stays bit-identical to serial execution whatever crashed, hung, or
 was retried along the way.
+
+Each supervision event is emitted once, by the dispatcher that handles it:
+the counters (its own :class:`SupervisionStats` and the dispatching
+borrower's), the ``engine.supervision.{kind}`` metric, the flight record,
+and the :class:`~repro.errors.chaos.ChaosMonkey` ground-truth record of an
+injected fault.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..obs import flight as _obs_flight
+from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
 
 __all__ = [
@@ -60,6 +68,17 @@ _SHUTDOWN = None
 #: between liveness/deadline sweeps. Small enough that hang detection is
 #: prompt, large enough that a healthy fleet burns no measurable CPU.
 _POLL_INTERVAL_S = 0.02
+
+#: How often an idle worker checks that its driver is still alive.
+_ORPHAN_CHECK_S = 1.0
+
+#: The :class:`SupervisionStats` counter each event kind increments.
+_COUNTERS = {
+    "crash": "crashes",
+    "hang": "hangs",
+    "retry": "chunk_retries",
+    "restart": "worker_restarts",
+}
 
 
 class ChunkFailure(RuntimeError):
@@ -84,6 +103,12 @@ class SupervisionStats:
         self.crashes += other.crashes
         self.hangs += other.hangs
         self.events.extend(other.events)
+
+    def record(self, kind: str, chunk_ord: int, attempt: int) -> None:
+        """Count one ``crash``/``hang``/``retry``/``restart`` event."""
+        counter = _COUNTERS[kind]
+        setattr(self, counter, getattr(self, counter) + 1)
+        self.events.append({"kind": kind, "chunk": chunk_ord, "attempt": attempt})
 
     def to_dict(self) -> dict:
         return {
@@ -143,10 +168,10 @@ class DeadlinePolicy:
 
 
 def _worker_main(conn, state: dict, task_fn: Callable[[dict, Any], Any]) -> None:
-    """Task loop run inside each forked worker.
+    """Task loop run inside each worker process.
 
-    ``state`` and ``task_fn`` arrive by fork inheritance (no pickling), so
-    utilities may hold arbitrary closures. Messages are
+    Under fork, ``state`` and ``task_fn`` arrive by inheritance (no
+    pickling), so utilities may hold arbitrary closures. Messages are
     ``(chunk_id, chunk_ord, attempt, payload)``; replies are
     ``(chunk_id, result)`` — or ``(chunk_id, result, telemetry_delta)``
     when telemetry is on, piggybacking the worker's spans and metric
@@ -157,10 +182,20 @@ def _worker_main(conn, state: dict, task_fn: Callable[[dict, Any], Any]) -> None
     task is deliberately *not* caught: an exception here is a bug in
     deterministic engine code, and the resulting abnormal exit is exactly
     what the driver supervises.
+
+    An idle worker exits once its driver dies. A SIGKILLed driver cannot
+    shut its workers down, and ``recv`` never sees EOF: a forked worker
+    inherits a copy of the driver's end of its own pipe. So the loop polls
+    and returns as soon as the worker has been re-parented.
     """
+    driver = os.getppid()
     chaos = state.get("chaos")
     capture: _obs_trace.WorkerTelemetry | None = None
     while True:
+        if not conn.poll(_ORPHAN_CHECK_S):
+            if os.getppid() != driver:
+                return
+            continue
         message = conn.recv()
         if message is _SHUTDOWN:
             conn.close()
@@ -198,32 +233,32 @@ class _Worker:
 
 
 class ChunkDispatcher:
-    """Supervised fan-out of deterministic chunks over forked workers.
+    """Supervised fan-out of deterministic chunks over worker processes.
 
     Parameters
     ----------
     ctx:
-        A fork-capable :mod:`multiprocessing` context.
+        A :mod:`multiprocessing` context; fork lets ``state`` hold
+        closures, spawn requires it (and ``task_fn``) to pickle.
     n_workers:
         Size of the worker fleet.
     state:
-        Shared read-only state inherited by every worker at fork time (the
-        engine's utility, cache snapshot, orderings, ...). A *restarted*
-        worker forks from the driver's current state, which may include a
-        warmer cache — harmless, because chunk results are deterministic.
+        Read-only state every worker receives at start (a pool's utility
+        or its shared-memory rebuild recipe, plus an optional ``"chaos"``
+        monkey). A *restarted* worker receives it afresh.
     task_fn:
         ``task_fn(state, payload) -> result``; must be safe to re-execute.
     deadline:
         A :class:`DeadlinePolicy`; chunk latencies feed it, and its
         ``deadline()`` bounds every in-flight chunk.
     stats:
-        A :class:`SupervisionStats` to accumulate into (the engine passes
-        its own so counters survive the dispatcher).
+        The :class:`SupervisionStats` this dispatcher accumulates into over
+        its lifetime; its ``worker_restarts`` is what the restart cap
+        bounds.
     on_event:
         Optional callback ``on_event(kind, chunk_ord, attempt)`` invoked for
         every ``"crash"``/``"hang"``/``"retry"``/``"restart"`` the
-        supervisor handles — the engine bridges this into
-        :mod:`repro.obs.metrics` and the run ledger.
+        supervisor handles.
     payload_hook:
         Optional ``payload_hook(slot, payload) -> payload`` applied at
         *send* time, per assignment. The queued payload stays pristine (a
@@ -235,17 +270,12 @@ class ChunkDispatcher:
         (re)starts in fleet position ``slot`` — restarts included, so
         pool-side per-worker state (cache watermarks, liveness gauges) can
         reset exactly when the process forgets everything.
-    worker_main:
-        Replacement for the default worker task loop; must accept
-        ``(conn, state, task_fn)``. With a spawn-based context this — and
-        ``state``/``task_fn`` — must be picklable.
-    telemetry_sink:
-        Optional ``telemetry_sink(items)`` receiving every telemetry delta
-        workers piggybacked on their replies during one :meth:`dispatch`
-        call, as ``[(slot, chunk_id, delta), ...]`` sorted by chunk id (a
-        deterministic merge order). The pool and engine bridge this into
-        :func:`repro.obs.trace.merge_worker_telemetry`. A sink failure is
-        recorded on the flight recorder but never fails the dispatch.
+
+    Telemetry that workers piggyback on their replies is merged with
+    :func:`repro.obs.trace.merge_worker_telemetry` in chunk-id order (a
+    deterministic merge order), under the driver span open at the time; a
+    merge failure is recorded on the flight recorder but never fails the
+    dispatch.
     """
 
     def __init__(
@@ -261,8 +291,6 @@ class ChunkDispatcher:
         on_event: Callable[[str, int, int], None] | None = None,
         payload_hook: Callable[[int, Any], Any] | None = None,
         on_worker_start: Callable[[int], None] | None = None,
-        worker_main: Callable[..., None] | None = None,
-        telemetry_sink: Callable[[list[tuple[int, int, Any]]], None] | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -274,11 +302,11 @@ class ChunkDispatcher:
         self.max_chunk_retries = int(max_chunk_retries)
         self.max_worker_restarts = int(max_worker_restarts)
         self.stats = stats if stats is not None else SupervisionStats()
+        # Where the current dispatch counts: ``stats`` plus the caller's.
+        self._tallies: tuple[SupervisionStats, ...] = (self.stats,)
         self._on_event = on_event
         self._payload_hook = payload_hook
         self._on_worker_start = on_worker_start
-        self._worker_main = worker_main if worker_main is not None else _worker_main
-        self._telemetry_sink = telemetry_sink
         self._telemetry_pending: dict[int, tuple[int, Any]] = {}
         self._workers: list[_Worker] = []
         self._next_ord = 0  # lifetime chunk sequence number (chaos identity)
@@ -291,7 +319,7 @@ class ChunkDispatcher:
     def _spawn(self, slot: int) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
-            target=self._worker_main,
+            target=_worker_main,
             args=(child_conn, self._state, self._task_fn),
             daemon=True,
         )
@@ -317,7 +345,6 @@ class ChunkDispatcher:
             worker.conn.close()
         except OSError:  # pragma: no cover - already torn down
             pass
-        self.stats.worker_restarts += 1
         self._emit("restart", chunk_ord, attempt)
         if self.stats.worker_restarts > self.max_worker_restarts:
             raise ChunkFailure(
@@ -327,10 +354,22 @@ class ChunkDispatcher:
         replacement = self._spawn(worker.slot)
         self._workers[self._workers.index(worker)] = replacement
 
-    def _emit(self, kind: str, chunk_ord: int, attempt: int) -> None:
-        self.stats.events.append(
-            {"kind": kind, "chunk": chunk_ord, "attempt": attempt}
+    def _emit(
+        self, kind: str, chunk_ord: int, attempt: int, **detail: Any
+    ) -> None:
+        """The one emission site of a supervision event."""
+        for tally in self._tallies:
+            tally.record(kind, chunk_ord, attempt)
+        if _obs_trace.enabled():
+            _obs_metrics.counter(f"engine.supervision.{kind}").inc()
+        _obs_flight.record(
+            f"supervision.{kind}", chunk=chunk_ord, attempt=attempt, **detail
         )
+        chaos = self._state.get("chaos")
+        if kind in ("crash", "hang") and hasattr(chaos, "record_worker_fault"):
+            planned = chaos.worker_fault(chunk_ord, attempt)
+            if planned is not None:
+                chaos.record_worker_fault(planned, chunk_ord)
         if self._on_event is not None:
             self._on_event(kind, chunk_ord, attempt)
 
@@ -338,9 +377,16 @@ class ChunkDispatcher:
     # dispatch                                                           #
     # ------------------------------------------------------------------ #
 
-    def dispatch(self, payloads: Sequence[Any]) -> list[Any]:
+    def dispatch(
+        self, payloads: Sequence[Any], stats: SupervisionStats | None = None
+    ) -> list[Any]:
         """Run every payload through ``task_fn`` on the fleet; results in
-        payload order. Crashed or hung chunks are re-queued transparently."""
+        payload order. Crashed or hung chunks are re-queued transparently.
+
+        ``stats``, when given, also counts this call's completed chunks and
+        supervision events: how a borrower of a shared fleet keeps its own
+        tally.
+        """
         if self._closed:
             raise RuntimeError("dispatcher already closed")
         if not payloads:
@@ -352,6 +398,11 @@ class ChunkDispatcher:
         results: dict[int, Any] = {}
         telemetry: dict[int, tuple[int, Any]] = {}
         self._telemetry_pending = telemetry
+        # Events are only ever emitted inside a dispatch, so each call
+        # simply replaces the previous call's tallies.
+        self._tallies = (self.stats,)
+        if stats is not None and stats is not self.stats:
+            self._tallies += (stats,)
         self._ensure_fleet(len(pending))
         while len(results) < len(payloads):
             self._assign(pending)
@@ -381,22 +432,24 @@ class ChunkDispatcher:
                     telemetry[chunk_id] = (worker.slot, reply[2])
                 results[chunk_id] = result
                 self.deadline.observe(time.monotonic() - worker.started_at)
-                self.stats.chunks_completed += 1
+                for tally in self._tallies:
+                    tally.chunks_completed += 1
                 worker.task = None
             self._sweep(pending)
         self._drain_telemetry(telemetry)
         return [results[chunk_id] for chunk_id in range(len(payloads))]
 
     def _drain_telemetry(self, telemetry: dict[int, tuple[int, Any]]) -> None:
-        if not telemetry or self._telemetry_sink is None:
+        """Merge the telemetry received so far, in chunk-id order, under
+        per-slot ``worker[i]`` groups beneath the open driver span."""
+        if not telemetry:
             return
-        items = [
-            (slot, chunk_id, delta)
-            for chunk_id, (slot, delta) in sorted(telemetry.items())
-        ]
+        items = sorted(telemetry.items())
         telemetry.clear()  # drained exactly once (flushes may precede the end)
+        groups: dict[int, Any] = {}
         try:
-            self._telemetry_sink(items)
+            for __, (slot, delta) in items:
+                _obs_trace.merge_worker_telemetry(slot, delta, groups)
         except Exception as exc:  # telemetry must never fail a dispatch
             _obs_flight.record(
                 "supervision.telemetry_sink_error", error=repr(exc)
@@ -451,23 +504,14 @@ class ChunkDispatcher:
     def _handle_failure(self, worker: _Worker, kind: str, pending: deque) -> None:
         chunk_id, chunk_ord, attempt, payload = worker.task
         worker.task = None
-        if kind == "crash":
-            self.stats.crashes += 1
-        else:
-            self.stats.hangs += 1
-        self._emit(kind, chunk_ord, attempt)
-        # Flush telemetry received so far this dispatch, then flight-record
-        # the failure — naming the in-flight chunk — and dump the ring
-        # (no-op unless a dump_dir is configured) so post-mortems see the
-        # workers' last shipped spans next to the failure event.
+        # Flush telemetry received so far this dispatch before the failure
+        # is flight-recorded — naming the in-flight chunk — and the ring
+        # dumped (no-op unless a dump_dir is configured), so post-mortems
+        # see the workers' last shipped spans next to the failure event.
         self._drain_telemetry(self._telemetry_pending)
-        _obs_flight.record(
-            f"supervision.{kind}",
-            slot=worker.slot,
-            pid=worker.proc.pid,
-            chunk=chunk_ord,
-            chunk_id=chunk_id,
-            attempt=attempt,
+        self._emit(
+            kind, chunk_ord, attempt,
+            slot=worker.slot, pid=worker.proc.pid, chunk_id=chunk_id,
         )
         _obs_flight.auto_dump(f"worker-{kind}")
         if attempt + 1 > self.max_chunk_retries:
@@ -476,7 +520,6 @@ class ChunkDispatcher:
                 f"chunk {chunk_ord} failed {attempt + 1} times "
                 f"(last failure: {kind}); giving up"
             )
-        self.stats.chunk_retries += 1
         self._emit("retry", chunk_ord, attempt + 1)
         pending.appendleft((chunk_id, chunk_ord, attempt + 1, payload))
         self._restart(worker, kind, chunk_ord, attempt)

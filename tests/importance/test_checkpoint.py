@@ -208,6 +208,33 @@ class TestEngineResume:
         assert game.n_evaluations == 0
         assert np.array_equal(again.values(), first.values())
 
+    def test_budget_spent_in_the_last_wave_still_completes(self, tmp_path):
+        """Budgets are checked before a wave starts: a run whose budget is
+        exactly what the whole run costs scans every permutation, so it
+        completed — in the result, in the snapshot, and on resume."""
+        full = ValuationEngine(saturating_game(8)).run_permutations(
+            20, seed=5, check_every=5
+        )
+        ck = tmp_path / "ck.json"
+        run = ValuationEngine(saturating_game(8), checkpoint=ck).run_permutations(
+            20, seed=5, check_every=5, max_evals=full.n_evaluations
+        )
+        assert run.n_permutations == 20
+        assert run.n_evaluations == full.n_evaluations
+        assert run.stop_reason == "completed"
+        assert run.converged
+        snapshot = CheckpointStore(ck).load()
+        assert snapshot["finished"] is True
+        assert snapshot["stop_reason"] == "completed"
+        resumed = ValuationEngine(
+            saturating_game(8), checkpoint=ck, resume=True
+        ).run_permutations(
+            20, seed=5, check_every=5, max_evals=full.n_evaluations
+        )
+        assert resumed.stop_reason == "completed"
+        assert resumed.converged
+        assert np.array_equal(resumed.values(), full.values())
+
     def test_checkpoint_without_resume_overwrites(self, tmp_path):
         ck = tmp_path / "ck.json"
         store = CheckpointStore(ck)

@@ -660,3 +660,148 @@ class TestObservability:
             stats = engine.stats()
         assert census["pool"]["n_workers"] == 2
         assert stats["pool"]["chunks_dispatched"] >= 1
+
+    def test_lifecycle_span_is_not_an_ambient_parent(self):
+        """The lifecycle span closes after the warmup pings: spans opened
+        while the pool is alive do not nest under it."""
+        from repro.obs import metrics as obs_metrics
+        from repro.obs import trace as obs_trace
+
+        obs_trace.get_recorder().reset()
+        obs_trace.enable()
+        try:
+            with ValuationEngine(
+                small_utility(), n_workers=2, pool=True
+            ) as engine:
+                engine.run_permutations(4, seed=3)
+                with obs_trace.span("unrelated"):
+                    pass
+            spans = obs_trace.get_recorder().spans
+        finally:
+            obs_trace.disable()
+            obs_metrics.registry().clear()
+            obs_trace.get_recorder().reset()
+        (lifecycle,) = [s for s in spans if s.name == "engine.pool.lifecycle"]
+        (run,) = [s for s in spans if s.name == "engine.run_permutations"]
+        (unrelated,) = [s for s in spans if s.name == "unrelated"]
+        assert lifecycle.finished
+        assert run.parent_id is None
+        assert unrelated.parent_id is None
+
+
+# ---------------------------------------------------------------------- #
+# call-scoped leases                                                     #
+# ---------------------------------------------------------------------- #
+
+
+class _CrashAlways:
+    """Chaos stand-in whose targeted chunks die on *every* attempt."""
+
+    def __init__(self, chunks):
+        self.chunks = set(chunks)
+
+    def apply_worker_fault(self, chunk_ord, attempt):
+        if chunk_ord in self.chunks:
+            os._exit(1)
+
+
+def _leftovers(before: tuple[set, set] | None) -> tuple:
+    """Child processes and own shared-memory segments that were not there
+    ``before`` (as returned by ``_leftovers(None)``)."""
+    import multiprocessing as mp
+
+    children = {child.pid for child in mp.active_children()}
+    segments = set()
+    if os.path.isdir("/dev/shm"):
+        prefix = f"{SEGMENT_PREFIX}{os.getpid()}-"
+        segments = {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
+    if before is None:
+        return children, segments
+    return sorted(children - before[0]), sorted(segments - before[1])
+
+
+@needs_fork
+class TestCallScopedLease:
+    """An engine with no pool leases one per call and closes it on the way
+    out — also when the call raises."""
+
+    def test_runs_leave_no_workers_or_segments(self):
+        subsets = [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
+        serial = ValuationEngine(small_utility())
+        before = _leftovers(None)
+        engine = ValuationEngine(small_utility(), n_workers=2)
+        run = engine.run_permutations(6, seed=2)
+        assert engine.supervision.chunks_completed > 0
+        assert engine._pool is None
+        assert _leftovers(before) == ([], [])
+        values = engine.evaluate_many(subsets)
+        assert _leftovers(before) == ([], [])
+        assert np.array_equal(
+            run.values(), serial.run_permutations(6, seed=2).values()
+        )
+        assert np.array_equal(values, serial.evaluate_many(subsets))
+
+    def test_chunk_failure_leaves_no_workers_or_segments(self):
+        from repro.importance import ChunkFailure
+
+        before = _leftovers(None)
+        engine = ValuationEngine(
+            small_utility(), n_workers=2, chaos=_CrashAlways([0])
+        )
+        with pytest.raises(ChunkFailure):
+            engine.run_permutations(6, seed=2)
+        assert engine.supervision.crashes == 4  # the first try + 3 retries
+        assert _leftovers(before) == ([], [])
+
+
+# ---------------------------------------------------------------------- #
+# orphaned workers                                                       #
+# ---------------------------------------------------------------------- #
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process; a zombie awaiting its reaper is
+    not."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="requires procfs")
+def test_workers_exit_after_their_driver_is_sigkilled():
+    """A SIGKILLed driver cannot shut its pool down; its idle workers
+    notice they were re-parented and exit on their own."""
+    script = textwrap.dedent(
+        """
+        import time
+        from repro.datasets import make_classification
+        from repro.importance import Utility, WorkerPool
+        from repro.learn import LogisticRegression
+
+        X, y = make_classification(n=48, n_features=3, seed=11)
+        utility = Utility(
+            LogisticRegression(max_iter=20), X[:36], y[:36], X[36:], y[36:]
+        )
+        pool = WorkerPool(utility, n_workers=2)
+        pids = [str(w.proc.pid) for w in pool.dispatcher._workers]
+        print(" ".join(pids), flush=True)
+        time.sleep(120)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH="src")
+    driver = subprocess.Popen(
+        [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True
+    )
+    try:
+        pids = [int(pid) for pid in driver.stdout.readline().split()]
+    finally:
+        driver.send_signal(signal.SIGKILL)
+        driver.wait(timeout=30)
+        driver.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10.0
+    while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in pids if _running(pid)]
