@@ -36,10 +36,10 @@ the chunk sequence number).
 
 Finally, :class:`DiskChaos` extends the same seeded-fault discipline to the
 *storage* layer: it plugs into the :class:`repro.obs.atomicio.IOHooks`
-call points of the atomic write protocol and injects short writes, ENOSPC,
-EIO/lying fsync, and crash-before/after-rename faults at exact commit
-ordinals — the fault model the crash-consistency harness
-(``tools/crashconsist.py``) sweeps.
+call points of the atomic write and in-place append protocols and injects
+short and torn writes, ENOSPC, EIO/lying fsync, and crash-before/after
+faults at exact write ordinals — the fault model the crash-consistency
+harness (``tools/crashconsist.py``) sweeps.
 """
 
 from __future__ import annotations
@@ -487,10 +487,14 @@ class ChaosMonkey:
 # storage-layer chaos (atomic write protocol fault injection)            #
 # ---------------------------------------------------------------------- #
 
-#: Fault kinds :class:`DiskChaos` can fire, at the commit stage each hits:
-#: ``short_write``/``enospc`` at :meth:`~repro.obs.atomicio.IOHooks.
-#: on_commit`, ``eio_fsync``/``lying_fsync`` at ``on_fsync``, and the two
-#: crash kinds around ``os.replace``.
+#: Fault kinds :class:`DiskChaos` can fire. A snapshot commit
+#: (:func:`~repro.obs.atomicio.atomic_writer`) meets ``short_write``,
+#: ``enospc`` and ``torn_append`` at :meth:`~repro.obs.atomicio.IOHooks.
+#: on_commit` and the two crash kinds around ``os.replace``; an in-place
+#: append meets ``enospc`` and ``crash_before_rename`` before its write,
+#: ``short_write`` and ``torn_append`` in it, and ``crash_after_rename``
+#: after its fsync. ``eio_fsync``/``lying_fsync`` fire at ``on_fsync`` on
+#: both paths.
 DISK_FAULT_KINDS = (
     "short_write",
     "enospc",
@@ -498,31 +502,40 @@ DISK_FAULT_KINDS = (
     "lying_fsync",
     "crash_before_rename",
     "crash_after_rename",
+    "torn_append",
 )
 
 
 class DiskChaos(IOHooks):
-    """Seeded storage-fault injector for the atomic write protocol.
+    """Seeded storage-fault injector for the atomic write protocols.
 
     Install with :func:`repro.obs.atomicio.io_hooks` (scoped) or
     :func:`~repro.obs.atomicio.install_io_hooks`; every
-    :func:`~repro.obs.atomicio.atomic_writer` commit then counts as one
-    *op* and may fault:
+    :func:`~repro.obs.atomicio.atomic_writer` commit and every
+    :func:`~repro.obs.atomicio.atomic_append_line` then counts as one *op*
+    and may fault:
 
-    - ``short_write`` — the staged file is truncated by
-      ``short_write_bytes`` before fsync, so the rename publishes a torn
-      last record (what a real partial write leaves after power loss);
-    - ``enospc`` — ``on_commit`` raises ``OSError(ENOSPC)``; the write
-      aborts and the target is untouched;
+    - ``short_write`` — the write loses its last ``short_write_bytes``
+      bytes yet is acknowledged: a snapshot's staged file is truncated
+      before the rename publishes it, an append writes all but the tail of
+      its line (what a real partial write leaves after power loss);
+    - ``torn_append`` — the writer dies after writing all but the last
+      ``short_write_bytes`` bytes, before its fsync, and never
+      acknowledges the write (a snapshot's staged file is left
+      unpublished);
+    - ``enospc`` — ``OSError(ENOSPC)`` before anything is published; the
+      write aborts and the target is untouched;
     - ``eio_fsync`` — ``on_fsync`` raises ``OSError(EIO)`` (dying disk);
     - ``lying_fsync`` — the real fsync is *skipped* but the write
       continues (firmware that acknowledges flushes it never performed);
     - ``crash_before_rename`` / ``crash_after_rename`` — the process dies
-      at the exact instant around ``os.replace``: either
-      :class:`~repro.obs.atomicio.SimulatedCrash` is raised
+      just before the write is published (before ``os.replace``; before an
+      append writes) or just after (after ``os.replace``; after an
+      append's fsync), before the call returns. Every crash either raises
+      :class:`~repro.obs.atomicio.SimulatedCrash`
       (``crash_mode="raise"``, for in-process tests — it derives from
-      ``BaseException`` so production handlers cannot absorb it) or the
-      process hard-exits with code 71 (``crash_mode="exit"``, for
+      ``BaseException`` so production handlers cannot absorb it) or
+      hard-exits the process with code 71 (``crash_mode="exit"``, for
       subprocess harnesses; no unwinding, like a ``kill -9``).
 
     Fault decisions are a pure function of ``(seed, op ordinal)`` — domain
@@ -632,55 +645,76 @@ class DiskChaos(IOHooks):
             os._exit(71)
         raise SimulatedCrash(f"injected {kind} for {path}")
 
-    # -- IOHooks call points ---------------------------------------------
-    def on_commit(self, path: Path, handle: TextIO) -> None:
+    def _next_op(self, path: Path) -> str | None:
+        """Count one targeted write and park its fault for the stage that
+        fires it; None for untargeted paths and fault-free ops."""
         if not self._targets(path):
-            return
+            return None
         with self._lock:
             op_ord = self.n_ops
             self.n_ops += 1
             kind = self.disk_fault(op_ord)
             self._pending = (op_ord, kind) if kind is not None else None
-        if kind == "short_write":
-            with self._lock:
-                self._pending = None
-                self._record_disk(op_ord, kind)
+        return kind
+
+    def _fire(self, path: Path, *kinds: str) -> str | None:
+        """Take the parked fault if it is one of ``kinds`` and ``path`` is
+        targeted, recording it."""
+        if not self._targets(path):
+            return None
+        with self._lock:
+            if self._pending is None or self._pending[1] not in kinds:
+                return None
+            op_ord, kind = self._pending
+            self._pending = None
+            self._record_disk(op_ord, kind)
+        return kind
+
+    def _enospc(self, path: Path) -> OSError:
+        return OSError(errno.ENOSPC, "injected ENOSPC (no space left)", str(path))
+
+    # -- IOHooks call points ---------------------------------------------
+    def on_commit(self, path: Path, handle: TextIO) -> None:
+        self._next_op(path)
+        kind = self._fire(path, "short_write", "torn_append", "enospc")
+        if kind == "enospc":
+            raise self._enospc(path)
+        if kind is not None:
             handle.flush()
             size = os.fstat(handle.fileno()).st_size
             os.ftruncate(
                 handle.fileno(), max(0, size - self.short_write_bytes)
             )
-        elif kind == "enospc":
-            with self._lock:
-                self._pending = None
-                self._record_disk(op_ord, kind)
-            raise OSError(
-                errno.ENOSPC, "injected ENOSPC (no space left)", str(path)
-            )
+            if kind == "torn_append":
+                self._crash(kind, path)
+
+    def on_append(self, path: Path, data: bytes, when: str) -> bytes:
+        if when == "after":
+            if self._fire(path, "crash_after_rename"):
+                self._crash("crash_after_rename", path)
+            return data
+        if self._next_op(path) in ("short_write", "torn_append"):
+            self._fire(path, "short_write")  # a torn append dies at fsync
+            return data[: max(0, len(data) - self.short_write_bytes)]
+        kind = self._fire(path, "enospc", "crash_before_rename")
+        if kind == "enospc":
+            raise self._enospc(path)
+        if kind is not None:
+            self._crash(kind, path)
+        return data
 
     def on_fsync(self, path: Path, fileno: int) -> bool:
-        with self._lock:
-            if self._pending is None:
-                return True
-            op_ord, kind = self._pending
-            if kind not in ("eio_fsync", "lying_fsync"):
-                return True
-            self._pending = None
-            self._record_disk(op_ord, kind)
+        kind = self._fire(path, "eio_fsync", "lying_fsync", "torn_append")
         if kind == "eio_fsync":
             raise OSError(errno.EIO, "injected EIO on fsync", str(path))
-        return False  # lying_fsync: report success, flush nothing
+        if kind == "torn_append":
+            self._crash(kind, path)
+        return kind is None  # lying_fsync: report success, flush nothing
 
     def on_replace(self, tmp: str, path: Path, when: str) -> None:
-        with self._lock:
-            if self._pending is None:
-                return
-            op_ord, kind = self._pending
-            if kind != f"crash_{when}_rename":
-                return
-            self._pending = None
-            self._record_disk(op_ord, kind)
-        self._crash(kind, path)
+        kind = self._fire(path, f"crash_{when}_rename")
+        if kind is not None:
+            self._crash(kind, path)
 
     def on_dirsync(self, dirpath: Path) -> bool:
         with self._lock:

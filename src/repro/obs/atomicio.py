@@ -6,14 +6,28 @@ checkpoints) may be read while a writer is mid-flight and must survive the
 writer being killed at any instant. This module is the single place those
 guarantees are implemented, in three layers:
 
-**Atomicity** — the classic ``write temp + fsync + rename`` protocol:
-content is staged in a temporary file *in the target's directory* (same
-filesystem, so the rename is atomic), flushed and fsync'd, then moved over
-the target with :func:`os.replace`, after which the *parent directory* is
-fsync'd too — without the directory sync, a power loss after the rename
-was acknowledged can resurrect the old file from the directory's stale
-metadata. Readers see either the old file or the new one, never a mixture;
-a writer killed at any point leaves the target untouched.
+**Atomicity** — two write paths, one per artifact shape. Whole-file
+snapshots (checkpoints, journal compaction, trace exports, flight dumps)
+use the classic ``write temp + fsync + rename`` protocol
+(:func:`atomic_writer`): content is staged in a temporary file *in the
+target's directory* (same filesystem, so the rename is atomic), flushed
+and fsync'd, then moved over the target with :func:`os.replace`, after
+which the *parent directory* is fsync'd too — without the directory sync,
+a power loss after the rename was acknowledged can resurrect the old file
+from the directory's stale metadata. Readers see either the old file or
+the new one, never a mixture; a writer killed at any point leaves the
+target untouched.
+
+Append-only logs (the run ledger, the job journal) are appended in place
+(:func:`atomic_append_line`): under a cross-process ``fcntl`` advisory
+lock (:func:`advisory_lock` on a ``<name>.lock`` sidecar) the line is
+written to an ``O_APPEND`` descriptor and fsync'd, so an append costs
+O(line), not O(log), and concurrent writers serialize instead of
+interleaving. No staging copy is needed because the CRC framing below
+already makes a torn line harmless: a writer killed mid-line leaves an
+unterminated tail, which the next append terminates with a newline so it
+becomes exactly one quarantinable record. On platforms without ``fcntl``
+(Windows) the lock degrades to a no-op.
 
 **Integrity** — per-record CRC32 framing (:func:`frame_line` /
 :func:`unframe`). Each JSONL record is wrapped in a one-line envelope::
@@ -35,28 +49,26 @@ by content CRC) into a ``<file>.corrupt`` sidecar next to the source,
 ``storage.*`` metrics are bumped, the event is flight-recorded, and a
 severity-ranked :class:`~repro.obs.diff.Alert` is attached to the returned
 :class:`LoadReport` — corruption is loud and accounted for, never a silent
-``continue``. The surviving records still load.
-
-Appends (:func:`atomic_append_line`) are implemented as copy + append +
-rename under a cross-process ``fcntl`` advisory lock (:func:`advisory_lock`
-on a ``<name>.lock`` sidecar), so concurrent service jobs appending to one
-ledger serialize instead of clobbering; on platforms without ``fcntl``
-(Windows) the lock degrades to a no-op.
+``continue``. The surviving records still load. An unterminated last line
+may be an append still in flight (a write that crosses a page is not
+atomic to readers), so the loader re-reads it under the writer's lock
+before judging it torn.
 
 Every write path funnels through :class:`IOHooks` call points
 (:func:`install_io_hooks`), which is how :class:`repro.errors.chaos.
-DiskChaos` injects storage faults — short writes, ENOSPC, EIO on fsync,
-lying fsync, crash before/after rename — for the crash-consistency harness
-(``tools/crashconsist.py``). Hooks are ``None`` in production: the fault
-surface costs one ``is None`` check per commit.
+DiskChaos` injects storage faults — short and torn writes, ENOSPC, EIO on
+fsync, lying fsync, crash before/after publication — for the
+crash-consistency harness (``tools/crashconsist.py``). Hooks are ``None``
+in production: the fault surface costs one ``is None`` check per commit.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
-import shutil
 import tempfile
+import threading
 import time
 import zlib
 from contextlib import contextmanager
@@ -131,6 +143,17 @@ class IOHooks:
        ``"before"`` or ``"after"``. May crash the process.
     4. :meth:`on_dirsync` — before the parent-directory fsync; return
        ``False`` to skip it (the lying disk again).
+
+    :func:`atomic_append_line` calls, in append order:
+
+    1. :meth:`on_append` with ``when="before"`` — before the line is
+       written; returns the bytes to write. May return a prefix (a short
+       or torn write), raise ``OSError`` (ENOSPC), or crash the process.
+    2. :meth:`on_fsync` — immediately before ``os.fsync`` of the log, as
+       above.
+    3. :meth:`on_append` with ``when="after"`` — after the fsync, before
+       the append returns. May crash the process.
+    4. :meth:`on_dirsync` — only when the append created the file.
     """
 
     def on_commit(self, path: Path, handle: TextIO) -> None:
@@ -141,6 +164,9 @@ class IOHooks:
 
     def on_replace(self, tmp: str, path: Path, when: str) -> None:
         return None
+
+    def on_append(self, path: Path, data: bytes, when: str) -> bytes:
+        return data
 
     def on_dirsync(self, dirpath: Path) -> bool:
         return True
@@ -199,28 +225,45 @@ def fsync_dir(dirpath: Any) -> bool:
 # ---------------------------------------------------------------------- #
 # cross-process advisory locking                                         #
 # ---------------------------------------------------------------------- #
+#: Lock sidecars the current thread holds. A nested :func:`advisory_lock`
+#: on one of them re-enters instead of blocking on its own ``flock``.
+_HELD_LOCKS = threading.local()
+
+
+def _lock_path(path: Path) -> Path:
+    return path.with_name(path.name + ".lock")
+
+
 @contextmanager
 def advisory_lock(path: Any) -> Iterator[bool]:
     """Hold an exclusive cross-process advisory lock scoped to ``path``.
 
     The lock lives on a ``<name>.lock`` sidecar file (never on the target
-    itself — the target is replaced by rename, which would orphan a lock
-    held on its inode). Yields True while the lock is held, or False when
-    ``fcntl`` is unavailable and the caller proceeds unlocked. Reentrant
-    use within one process deadlocks by design — hold it briefly around a
-    single read-modify-rename cycle.
+    itself — snapshots replace the target by rename, which would orphan a
+    lock held on its inode). Yields True while the lock is held, or False
+    when ``fcntl`` is unavailable and the caller proceeds unlocked. The
+    lock is reentrant within a thread — a holder can append or load under
+    it (:meth:`repro.service.JobJournal.compact` does both) — and
+    exclusive across threads and processes.
     """
     if _fcntl is None:
         yield False
         return
     path = Path(path)
+    lock_path = _lock_path(path)
+    key = os.path.abspath(lock_path)
+    held = _HELD_LOCKS.__dict__.setdefault("paths", set())
+    if key in held:
+        yield True
+        return
     path.parent.mkdir(parents=True, exist_ok=True)
-    lock_path = path.with_name(path.name + ".lock")
     with open(lock_path, "a", encoding="utf-8") as handle:
         _fcntl.flock(handle.fileno(), _fcntl.LOCK_EX)
+        held.add(key)
         try:
             yield True
         finally:
+            held.discard(key)
             _fcntl.flock(handle.fileno(), _fcntl.LOCK_UN)
 
 
@@ -272,56 +315,65 @@ def atomic_write_text(path: Any, text: str, encoding: str = "utf-8") -> None:
         handle.write(text)
 
 
-def atomic_append_line(
-    path: Any, line: str, encoding: str = "utf-8", lock: bool = True
-) -> None:
-    """Append one line to ``path`` so readers never see a torn suffix.
+def atomic_append_line(path: Any, line: str, encoding: str = "utf-8") -> None:
+    """Durably append one line to ``path`` in place, under its advisory lock.
 
-    The existing contents are copied to a staging file, the new line is
-    appended (a trailing newline is added if missing), and the staging file
-    is renamed over the original — followed by a parent-directory fsync, so
-    the acknowledged append also survives power loss (this covers the first
-    creation of an append target too). Concurrent readers observe either
-    the old file or the old file plus the complete new line — never a
-    prefix of it.
+    Holding :func:`advisory_lock`, the append opens the log ``O_RDWR |
+    O_APPEND`` and probes its last byte: a tail without a newline is a
+    dead writer's torn line, so a newline goes first and the torn bytes
+    become one record the validating loader quarantines. The line (a
+    trailing newline is added if missing) is then written, looping over
+    short ``os.write`` returns, and fsync'd; the parent directory is
+    fsync'd only when this append created the file, so an acknowledged
+    append survives power loss. If anything raises before the fsync
+    returns, the file is truncated back to its size before the append, so
+    an append that raised leaves nothing behind. The cost is O(line), not
+    O(log).
 
-    With ``lock=True`` (the default) the whole read-append-rename cycle
-    runs under :func:`advisory_lock`, so concurrent *writers* in separate
-    processes serialize instead of renaming over each other's lines. Pass
-    ``lock=False`` only when the caller already holds the lock or is
-    provably the sole writer.
+    A concurrent reader can see the line half written — a write that
+    crosses a page is not atomic to readers — which is why
+    :func:`read_jsonl` waits on the same lock before it calls an
+    unterminated last line torn.
     """
     path = Path(path)
-    if not line.endswith("\n"):
-        line += "\n"
-
-    def append() -> None:
-        tail = b"\n"
-        if path.exists() and path.stat().st_size > 0:
-            with open(path, "rb") as src:
-                src.seek(-1, os.SEEK_END)
-                tail = src.read(1)
-        with atomic_writer(path, encoding=encoding) as handle:
-            # Copy the existing bytes verbatim (no decode/encode round
-            # trip — the copy is the O(file) cost of every append).
-            handle.flush()
-            buffer = handle.buffer
-            if path.exists():
-                with open(path, "rb") as src:
-                    shutil.copyfileobj(src, buffer, 1 << 20)
-            if tail != b"\n":
-                # A torn tail from a non-atomic writer: quarantine it
-                # behind a newline so the validating loader isolates
-                # exactly one bad record instead of fusing it with the
-                # new line.
-                buffer.write(b"\n")
-            buffer.write(line.encode(encoding))
-
-    if lock:
-        with advisory_lock(path):
-            append()
-    else:
-        append()
+    data = line.encode(encoding)
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    hooks = _IO_HOOKS
+    flags = os.O_RDWR | os.O_APPEND | getattr(os, "O_BINARY", 0)
+    with advisory_lock(path):
+        try:
+            fd = os.open(path, flags)
+            created = False
+        except FileNotFoundError:
+            fd = os.open(path, flags | os.O_CREAT, 0o666)
+            created = True
+        try:
+            size = os.fstat(fd).st_size
+            try:
+                torn = False
+                if size:
+                    os.lseek(fd, size - 1, os.SEEK_SET)
+                    torn = os.read(fd, 1) != b"\n"
+                out = data if hooks is None else hooks.on_append(
+                    path, data, "before"
+                )
+                view = memoryview(b"\n" + out if torn else out)
+                while view:
+                    view = view[os.write(fd, view):]
+                if hooks is None or hooks.on_fsync(path, fd):
+                    os.fsync(fd)
+            except SimulatedCrash:
+                raise  # a simulated death unwinds nothing, like a real one
+            except BaseException:
+                os.ftruncate(fd, size)
+                raise
+            if hooks is not None:
+                hooks.on_append(path, data, "after")
+        finally:
+            os.close(fd)
+    if created:
+        fsync_dir(path.parent)
 
 
 # ---------------------------------------------------------------------- #
@@ -541,15 +593,7 @@ def _emit_quarantine(
                 )
             )
         if fresh:
-            existing = ""
-            if sidecar.exists():
-                with open(sidecar, "r", encoding="utf-8", errors="replace") as handle:
-                    existing = handle.read()
-                if existing and not existing.endswith("\n"):
-                    existing += "\n"
-            with atomic_writer(sidecar) as handle:
-                handle.write(existing)
-                handle.write("\n".join(fresh) + "\n")
+            atomic_append_line(sidecar, "\n".join(fresh))
     report.n_quarantined_new = len(fresh)
     if not fresh:
         return
@@ -596,11 +640,24 @@ def read_jsonl(
     (``storage.*`` counters), flight-recorded, and surfaced as an
     :class:`~repro.obs.diff.Alert` on the report — and loading continues.
     Blank lines are ignored. A missing file is an empty, clean load.
+
+    An unterminated last line of a log that :func:`atomic_append_line`
+    writes (its ``.lock`` sidecar exists and this process may take it)
+    may be an append in flight, so it is read again under that lock: a
+    live append has finished by then and loads; a line still unterminated
+    belongs to a dead writer and is quarantined.
     """
     path = Path(path)
     artifact = artifact or path.name
     report = LoadReport(path=str(path), artifact=artifact)
-    if not path.exists():
+    try:
+        data = path.read_bytes()
+        if data and not data.endswith(b"\n") and os.access(
+            _lock_path(path), os.W_OK
+        ):
+            with advisory_lock(path):
+                data = path.read_bytes()
+    except FileNotFoundError:
         return [], report
     payloads: list[Any] = []
     corrupt: list[tuple[int, str, str]] = []
@@ -610,9 +667,9 @@ def read_jsonl(
         report.reasons[reason] = report.reasons.get(reason, 0) + 1
         corrupt.append((line_no, raw, reason))
 
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+    with io.BytesIO(data) as handle:
         for line_no, line in enumerate(handle):
-            raw = line.strip()
+            raw = line.decode("utf-8", errors="replace").strip()
             if not raw:
                 continue
             try:

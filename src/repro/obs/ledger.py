@@ -134,14 +134,15 @@ class RunLedger:
 
     # -- write -----------------------------------------------------------
     def append(self, record: RunRecord) -> RunRecord:
-        """Append one CRC-framed record (one JSON line) atomically.
+        """Append one CRC-framed record (one JSON line) durably.
 
         The write goes through :func:`repro.obs.atomicio.atomic_append_line`
-        (copy + append + fsync + rename + directory fsync), so a concurrent
-        reader sees either the previous ledger or the previous ledger plus
-        the whole new line — never a torn suffix — and an acknowledged
-        append survives power loss. The validating :meth:`load` detects and
-        quarantines any line corrupted after the fact.
+        (in place on an ``O_APPEND`` descriptor under the ledger's advisory
+        lock, then fsync), so it costs O(record) however long the ledger
+        is, and an acknowledged append survives power loss. The validating
+        :meth:`load` never reports an append still in flight as torn; it
+        quarantines the line a writer killed mid-append left behind, and
+        any line corrupted after the fact.
         """
         if not record.created_at:
             record.created_at = time.time()

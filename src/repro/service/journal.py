@@ -4,11 +4,12 @@ The journal is the service's write-ahead log: every lifecycle edge of every
 job — submission (with the full JSON request), admission, start, progress
 watermarks, retries, and the terminal state — is appended *before* the
 in-memory state moves on. Appends go through
-:func:`repro.obs.atomicio.atomic_append_line` under the cross-process
-advisory lock, so a SIGKILL at any instant leaves either the previous
-journal or the previous journal plus one complete line — never a torn
-record — and concurrent writers (a second runtime sharing the journal
-directory) cannot interleave.
+:func:`repro.obs.atomicio.atomic_append_line`: in place, under the
+cross-process advisory lock, fsync'd before the call returns. Concurrent
+writers (a second runtime sharing the journal directory) cannot
+interleave, and a SIGKILL mid-append leaves at most one torn last line,
+which the next load quarantines and the next append terminates — no
+acknowledged record is ever lost.
 
 :meth:`JobJournal.replay` folds the event log into one
 :class:`JournalEntry` per job. Entries whose last event is non-terminal are
@@ -23,8 +24,8 @@ frame_line`); loading is lenient but loud — unknown fields are ignored, v1
 ``<file>.corrupt`` sidecar with ``storage.*`` metrics and an alert instead
 of being skipped silently.
 
-Because appends are copy-on-write (O(file) each), an unbounded journal
-degrades every subsequent append. :meth:`JobJournal.compact` bounds that:
+An append costs O(record) however long the journal is, but replay time
+and disk use still grow with it. :meth:`JobJournal.compact` bounds them:
 it atomically rewrites the log with each *terminal* job collapsed to a
 single summary record (non-terminal jobs keep their full event chains —
 they are what recovery needs), and :meth:`maybe_compact` applies a
@@ -182,9 +183,10 @@ class JobJournal:
     def compact(self) -> dict[str, Any]:
         """Atomically rewrite the journal with terminal jobs collapsed.
 
-        Appends are copy-on-write — O(file) each — so an ever-growing
-        journal makes every later append slower. Compaction rewrites the
-        log under the cross-process advisory lock: each job that reached a
+        Appends stay O(record), but an ever-growing journal makes every
+        replay slower and takes ever more disk; compaction bounds both.
+        It loads and rewrites the log under the cross-process advisory
+        lock (the loader re-enters that lock): each job that reached a
         terminal state is collapsed to one summary record carrying its
         folded result (``payload.compacted_events`` counts the collapsed
         lines); every record of a *non-terminal* job is kept verbatim, so
@@ -253,9 +255,9 @@ class JobJournal:
     ) -> dict[str, Any] | None:
         """Run :meth:`compact` when the journal exceeds either trigger.
 
-        The cheap size probe runs first so the common small-journal case
-        costs one ``stat``; the record count is only taken when the byte
-        bound passes. Returns the stats when compaction ran, else None.
+        A journal over the byte bound compacts after one ``stat``; one
+        under it is loaded and parsed in full to count its records against
+        the event bound. Returns the stats when compaction ran, else None.
         """
         if not self.path.exists():
             return None

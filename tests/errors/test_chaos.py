@@ -341,6 +341,25 @@ class TestDiskChaos:
         payloads, report = read_jsonl(path)
         assert [p["i"] for p in payloads] == [0, 1] and report.clean
 
+    def test_torn_append_dies_unacked_and_is_quarantined_once(self, tmp_path):
+        from repro.errors import DiskChaos
+        from repro.obs.atomicio import SimulatedCrash, io_hooks, read_jsonl
+
+        path = tmp_path / "a.jsonl"
+        self._append(path, 0)
+        chaos = DiskChaos(fault_at={0: "torn_append"})
+        with io_hooks(chaos):
+            with pytest.raises(SimulatedCrash):
+                self._append(path, 1)
+        payloads, report = read_jsonl(path, artifact="t")
+        assert [p["i"] for p in payloads] == [0]
+        assert report.n_quarantined == 1  # the prefix on disk is torn
+        self._append(path, 2)  # the next writer terminates the torn tail
+        payloads, report = read_jsonl(path, artifact="t")
+        assert [p["i"] for p in payloads] == [0, 2]
+        assert report.n_quarantined == 1 and report.n_quarantined_new == 0
+        assert [f.kind for f in chaos.triggered] == ["torn_append"]
+
     def test_eio_fsync_raises_and_target_is_preserved(self, tmp_path):
         from repro.errors import DiskChaos
         from repro.obs.atomicio import io_hooks, read_jsonl

@@ -97,10 +97,10 @@ class TestAdvisoryLock:
         assert not path.exists()
 
     def test_unlocked_append_can_lose_lines_locked_never(self, tmp_path):
-        """Two processes hammering one file: the copy+rename append without
-        the advisory lock can drop lines (read-copy-rename race); with the
-        lock (the default) every line survives. This is the regression
-        guard for RunLedger/JobJournal multi-process safety."""
+        """Two processes hammering one file: the in-place append holds the
+        advisory lock around its tail probe and write, so every line
+        survives, whole and in order. This is the regression guard for
+        RunLedger/JobJournal multi-process safety."""
         import subprocess
         import sys
 
@@ -127,6 +127,40 @@ class TestAdvisoryLock:
         for who in ("a", "b"):
             seen = [line for line in lines if line.startswith(f"{who}:")]
             assert seen == [f"{who}:{i}" for i in range(n_lines)]  # in order
+
+    def test_threads_appending_in_place_lose_nothing(self, tmp_path):
+        """More writer threads than cores share one log, as a service's job
+        threads share its journal: the per-thread lock keeps every line
+        whole and each thread's lines in order."""
+        import sys
+        import threading
+
+        path = tmp_path / "log.jsonl"
+        n_threads, n_lines = 6, 40
+
+        def write(who):
+            for i in range(n_lines):
+                atomic_append_line(path, f"{who}:{i}:" + "x" * 200)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=write, args=(f"t{k}",), daemon=True)
+                for k in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        lines = path.read_text().splitlines()
+        assert len(lines) == n_threads * n_lines
+        for k in range(n_threads):
+            mine = [line for line in lines if line.startswith(f"t{k}:")]
+            assert mine == [f"t{k}:{i}:" + "x" * 200 for i in range(n_lines)]
 
     def test_two_process_ledger_appends_all_survive(self, tmp_path):
         """Satellite regression: two RunLedger writers in separate processes
@@ -157,6 +191,93 @@ class TestAdvisoryLock:
         for who in ("a", "b"):
             mine = [r.config["i"] for r in records if r.config["who"] == who]
             assert mine == list(range(40))
+
+
+_PAGED_WRITER = """
+import os
+import sys
+import time
+
+from repro.obs.atomicio import atomic_append_line, frame_line
+
+real_write = os.write
+
+
+def paged_write(fd, data):
+    # Stop every write at the next 4 KiB page boundary and pause there (a
+    # short write), so a line that straddles two pages stays half written
+    # long enough for a polling reader to see it.
+    room = 4096 - os.fstat(fd).st_size % 4096
+    n = real_write(fd, data[:room])
+    if n < len(data):
+        time.sleep(0.002)
+    return n
+
+
+os.write = paged_write
+for i in range(int(sys.argv[2])):
+    atomic_append_line(sys.argv[1], frame_line({"i": i, "pad": "x" * 3000}))
+"""
+
+
+class TestLoaderAndLiveAppends:
+    def test_polls_never_flag_or_load_a_live_append(self, tmp_path):
+        """~3 KiB records straddle 4 KiB pages while the test polls: a
+        half-written line is an append in flight, so the loader waits for
+        it under the writer's lock instead of quarantining it."""
+        import subprocess
+        import sys
+
+        from repro.obs.atomicio import quarantine_path_for, read_jsonl
+
+        path = tmp_path / "log.jsonl"
+        n_records = 80
+        env = dict(os.environ, PYTHONPATH="src")
+        writer = subprocess.Popen(
+            [sys.executable, "-c", _PAGED_WRITER, str(path), str(n_records)],
+            env=env,
+        )
+        half_written_seen = loaded = 0
+        while writer.poll() is None:
+            raw = path.read_bytes() if path.exists() else b""
+            half_written_seen += bool(raw) and not raw.endswith(b"\n")
+            payloads, report = read_jsonl(path, artifact="live")
+            assert report.n_quarantined == 0
+            assert [p["i"] for p in payloads] == list(range(len(payloads)))
+            assert all(len(p["pad"]) == 3000 for p in payloads)
+            assert len(payloads) >= loaded
+            loaded = len(payloads)
+        assert writer.wait(timeout=120) == 0
+        assert half_written_seen > 0  # the polls really raced the writer
+        payloads, report = read_jsonl(path, artifact="live")
+        assert len(payloads) == n_records and report.clean
+        assert not quarantine_path_for(path).exists()
+
+    def test_dead_writers_tail_is_quarantined_once(self, tmp_path):
+        """An unterminated last line nobody is writing is torn: quarantined
+        on the next load, and not re-alerted once a later append puts a
+        newline after it (same raw CRC, same line number)."""
+        from repro.obs.atomicio import (
+            frame_line,
+            quarantine_path_for,
+            read_jsonl,
+        )
+
+        path = tmp_path / "log.jsonl"
+        atomic_append_line(path, frame_line({"i": 0}))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(frame_line({"i": 1})[:-9])  # the writer dies here
+        payloads, first = read_jsonl(path, artifact="t")
+        assert [p["i"] for p in payloads] == [0]
+        assert first.n_quarantined == first.n_quarantined_new == 1
+        assert len(first.alerts) == 1
+        atomic_append_line(path, frame_line({"i": 2}))
+        payloads, second = read_jsonl(path, artifact="t")
+        assert [p["i"] for p in payloads] == [0, 2]
+        assert second.n_quarantined == 1
+        assert second.n_quarantined_new == 0 and second.alerts == []
+        sidecar = quarantine_path_for(path).read_text().splitlines()
+        assert len(sidecar) == 1
 
 
 class TestEnvelopeFraming:

@@ -11,8 +11,9 @@ Two families of fuzz, both seeded and deterministic:
 
 * **Two-process concurrent-writer fuzz** — real subprocess writers
   appending to one shared file, with a reader polling mid-flight: the
-  advisory lock plus copy-append-rename protocol must yield all records
-  from both writers, no torn tail ever visible to the reader.
+  advisory lock around in-place appends, plus the loader's re-check of an
+  unterminated tail under that lock, must yield all records from both
+  writers, no torn tail ever reported by the reader.
 """
 
 from __future__ import annotations
@@ -275,8 +276,9 @@ class TestConcurrentWriterFuzz:
         n = self.N_PER_WRITER
         first = _spawn(script, path, 0, n)
         second = _spawn(script, path, n, n)
-        # Reader polls mid-flight: the torn-tail fuzz. Atomic publication
-        # means a concurrent load never sees a partial record.
+        # Reader polls mid-flight: the torn-tail fuzz. A half-written line
+        # is an append in flight, and the loader waits for it under the
+        # writer's lock, so a concurrent load never reports a torn record.
         while first.poll() is None or second.poll() is None:
             _, report = loader(path)
             if report is not None:

@@ -67,10 +67,27 @@ class TestAppendLogSweeps:
         )
         (case,) = cases
         assert not case["failures"]
-        # The fault fires after os.replace published append #1, before the
-        # writer could ACK it: the loader sees one more record than the
-        # child acknowledged. Durability errs in the right direction.
+        # The fault fires after append #1's fsync, before the writer could
+        # ACK it: the loader sees one more record than the child
+        # acknowledged. Durability errs in the right direction.
         assert case["n_loaded"] == case["n_acked"] + 1 == 2
+
+
+    def test_torn_append_is_quarantined_and_never_acked(
+        self, harness, tmp_path
+    ):
+        cases = harness.sweep_append_log(
+            "ledger", harness.LEDGER_CHILD, harness._load_ledger, tmp_path,
+            n_records=4, ops=[2], kinds=("torn_append",),
+        )
+        (case,) = cases
+        assert case["fault_fired"]
+        assert case["exit_code"] == harness.CRASH_EXIT
+        assert not case["failures"]
+        # The writer died mid-line at op 2: two records acked and loaded,
+        # the torn third quarantined.
+        assert case["n_acked"] == case["n_loaded"] == 2
+        assert case["n_quarantined"] == 1
 
 
 class TestCheckpointSweep:
@@ -105,7 +122,7 @@ class TestAuditOutput:
         audit = json.loads(out.read_text())
         assert audit["harness"] == "crashconsist"
         assert audit["n_failures"] == 0
-        assert audit["n_cases"] == 3  # 3 fault kinds x 1 op
+        assert audit["n_cases"] == 4  # 4 fault kinds x 1 op
         assert len(audit["invariants"]) == 4
         sample = out.with_name("sample.jsonl.corrupt")
         assert sample.exists()

@@ -160,6 +160,27 @@ class TestCompaction:
         _, report = read_jsonl(journal.path, artifact="journal")
         assert report.clean and report.n_loaded == 1
 
+    def test_compact_over_a_torn_tail_does_not_deadlock(self, tmp_path):
+        """compact() loads while it holds the journal's lock; the loader's
+        re-check of an unterminated tail re-enters that lock, and the torn
+        record is quarantined, not carried into the compacted log."""
+        import threading
+
+        journal = JobJournal(tmp_path / "j.jsonl")
+        self._lifecycle(journal, "a")
+        with open(journal.path, "a", encoding="utf-8") as handle:
+            handle.write('{"_env":2,"crc":"00')  # a writer died mid-line
+        stats = {}
+        worker = threading.Thread(
+            target=lambda: stats.update(journal.compact()), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "compact() deadlocked on its own lock"
+        assert stats["events_before"] == 5 and stats["events_after"] == 1
+        assert journal.replay()["a"].state == "completed"
+        assert journal.last_load_report.clean
+
     def test_audit_records_keep_only_newest(self, tmp_path):
         journal = JobJournal(tmp_path / "j.jsonl")
         journal.record("recovery_audit", "-", {"recovered_jobs": 0, "gen": 1})

@@ -5,11 +5,14 @@ The durability contract (DESIGN.md §16) makes four promises about the
 state plane — and this harness is the executable proof. For each artifact
 (run ledger, job journal, valuation checkpoint) it spawns a subprocess
 writer with :class:`repro.errors.chaos.DiskChaos` installed in
-``crash_mode="exit"`` and sweeps the injected fault across every commit
+``crash_mode="exit"`` and sweeps the injected fault across every write
 ordinal and fault kind: the child hard-exits (``os._exit(71)``, no
-unwinding — a ``kill -9`` at the exact instant before or after the
-``os.replace`` that publishes a write) or suffers a short write (the disk
-persists less than it acknowledged). The parent then verifies, per case:
+unwinding — a ``kill -9`` at the exact instant before or after the write
+is published: around the ``os.replace`` of a snapshot, before an in-place
+append writes or after its fsync), dies halfway through an in-place
+append (a torn append: a prefix of the line on disk, never acknowledged),
+or suffers a short write (the disk persists less than it acknowledged).
+The parent then verifies, per case:
 
 1. **Loaders never raise.** Whatever the crash left behind, every
    validating loader returns records plus accounting — no exception.
@@ -19,8 +22,8 @@ persists less than it acknowledged). The parent then verifies, per case:
    construction: storage acknowledged data it never persisted. Those
    records are *quarantined and counted*, never silently dropped.)
 3. **Quarantine counts match injected faults.** Pure crashes leave zero
-   torn records (atomicity); each short write leaves exactly one, and it
-   lands in the ``.corrupt`` sidecar.
+   torn records (atomicity); each short write or torn append leaves
+   exactly one, and it lands in the ``.corrupt`` sidecar.
 4. **Resumed valuations are bit-identical.** A valuation killed at any
    checkpoint-write fault point resumes — falling back through wave
    archives when the primary snapshot was torn — and produces values
@@ -64,6 +67,9 @@ from repro.service import JobJournal  # noqa: E402
 CRASH_EXIT = 71
 
 CRASH_KINDS = ("crash_before_rename", "crash_after_rename")
+
+#: Faults that leave exactly one torn record behind.
+TORN_KINDS = ("short_write", "torn_append")
 
 #: Valuation run shape for the checkpoint scenario: 30 permutations in
 #: waves of 5 → 6 checkpoint saves, each one primary + one archive commit.
@@ -177,7 +183,7 @@ def sweep_append_log(
     workdir: Path,
     n_records: int = 6,
     ops: range | list | None = None,
-    kinds: tuple = CRASH_KINDS + ("short_write",),
+    kinds: tuple = CRASH_KINDS + TORN_KINDS,
 ) -> list[dict]:
     """Sweep fault points over an append-only JSONL writer (ledger/journal).
 
@@ -195,40 +201,32 @@ def sweep_append_log(
                     child, kind, op, path, n_records
                 )
                 fired = (
-                    code == CRASH_EXIT
-                    if kind in CRASH_KINDS
-                    else op < n_records
+                    op < n_records
+                    if kind == "short_write"
+                    else code == CRASH_EXIT
                 )
                 present, report = load(path)
                 failures = []
                 if code not in (0, CRASH_EXIT):
                     failures.append(f"writer died unexpectedly (exit {code})")
-                if kind in CRASH_KINDS:
-                    lost = [i for i in acked if i not in present]
-                    if lost:
-                        failures.append(f"acked records lost: {lost}")
-                    if report.n_quarantined != 0:
-                        failures.append(
-                            f"pure crash left {report.n_quarantined} torn "
-                            "record(s)"
-                        )
-                else:  # short_write
-                    expected_q = 1 if fired else 0
-                    if report.n_quarantined != expected_q:
-                        failures.append(
-                            f"expected {expected_q} quarantined, got "
-                            f"{report.n_quarantined}"
-                        )
-                    surviving = [i for i in range(n_records) if i != op]
-                    lost = [
-                        i for i in surviving if i in acked and i not in present
-                    ]
-                    if lost:
-                        failures.append(
-                            f"records lost beyond the faulted op: {lost}"
-                        )
-                    if fired and not quarantine_path_for(path).exists():
-                        failures.append("no .corrupt sidecar for short write")
+                # A short write is acknowledged yet torn by construction:
+                # its record is quarantined, every other acked one stays.
+                torn_acked = op if kind == "short_write" else None
+                lost = [
+                    i for i in acked if i not in present and i != torn_acked
+                ]
+                if lost:
+                    failures.append(f"acked records lost: {lost}")
+                if kind == "torn_append" and op in acked:
+                    failures.append("torn append was acknowledged")
+                expected_q = 1 if fired and kind in TORN_KINDS else 0
+                if report.n_quarantined != expected_q:
+                    failures.append(
+                        f"expected {expected_q} quarantined, got "
+                        f"{report.n_quarantined}"
+                    )
+                if expected_q and not quarantine_path_for(path).exists():
+                    failures.append(f"no .corrupt sidecar for {kind}")
                 cases.append(
                     _case(
                         scenario, kind, op, fired,
