@@ -1,4 +1,12 @@
-"""Deterministic offline text features (SentenceBERT stand-in)."""
+"""Deterministic offline text features (SentenceBERT stand-in).
+
+A token is a maximal run of letters in the lower-cased text (see
+:mod:`repro.text.lexicon`). ``HashingVectorizer.transform`` and
+``TextEmbedder.transform`` are the one implementation: they encode a column
+in blocks of ``BLOCK_TEXTS`` texts, tokenizing each text once and hashing
+each distinct n-gram of a block once. ``transform_one``, ``embed_one`` and
+``SentimentLexicon.counts`` are one-row calls of the same kernel.
+"""
 
 from .embedder import SentenceBertTransformer, TextEmbedder
 from .hashing import HashingVectorizer, stable_hash

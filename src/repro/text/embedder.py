@@ -6,6 +6,11 @@ build a deterministic embedding with the same *shape* of behaviour: a dense
 fixed-width vector in which sentiment-bearing content is linearly separable.
 The embedding concatenates hashed n-gram features (topical content) with
 lexicon statistics (polarity signal).
+
+:meth:`TextEmbedder.transform` is the one implementation. It encodes a column
+a :data:`~repro.text.lexicon.BLOCK_TEXTS` block at a time, tokenizing each
+text once for both parts of its row; :meth:`TextEmbedder.embed_one` is a
+one-row call of it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from ..learn.base import Transformer
 from ..learn.preprocessing.encoders import as_cells
 from .hashing import HashingVectorizer
-from .lexicon import SentimentLexicon
+from .lexicon import SentimentLexicon, TokenBlock, blocks
 
 __all__ = ["TextEmbedder", "SentenceBertTransformer"]
 
@@ -45,26 +50,25 @@ class TextEmbedder(Transformer):
         return self
 
     def embed_one(self, text: str | None) -> np.ndarray:
-        if text is None or not str(text).strip():
-            return np.zeros(self.output_dim)
-        text = str(text)
-        hashed = self._vectorizer.transform_one(text)
-        tokens = SentimentLexicon.tokenize(text)
-        n_tokens = max(len(tokens), 1)
-        pos, neg, hedge = self._lexicon.counts(text)
-        # The length statistic is damped to the same O(0.1) scale as the
-        # rate features: the hashed block is unit-norm, and an unscaled
-        # log-length would dominate every distance computation.
-        stats = np.asarray(
-            [pos / n_tokens, neg / n_tokens, hedge / n_tokens, np.log1p(n_tokens) / 10.0]
-        )
-        return np.concatenate([hashed, stats])
+        """One text's embedding: a one-row :meth:`transform`."""
+        return self.transform([text])[0]
 
     def transform(self, X: Any) -> np.ndarray:
         cells = as_cells(X)
-        if not len(cells):
-            return np.empty((0, self.output_dim))
-        return np.vstack([self.embed_one(c) for c in cells])
+        out = np.zeros((len(cells), self.output_dim))
+        present = [i for i, cell in enumerate(cells) if cell is not None and str(cell).strip()]
+        for rows in blocks(present):
+            block = TokenBlock(str(cells[i]) for i in rows)
+            n_tokens = np.maximum(block.lengths, 1).astype(float)
+            out[rows, : self.n_features] = self._vectorizer.transform_block(block)
+            out[rows, self.n_features : -1] = (
+                self._lexicon.block_counts(block) / n_tokens[:, None]
+            )
+            # The length statistic is damped to the same O(0.1) scale as the
+            # rate features: the hashed block is unit-norm, and an unscaled
+            # log-length would dominate every distance computation.
+            out[rows, -1] = np.log1p(n_tokens) / 10.0
+        return out
 
     def embed(self, texts: Iterable[str]) -> np.ndarray:
         """Convenience alias used outside transformer pipelines."""

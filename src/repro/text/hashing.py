@@ -1,13 +1,19 @@
-"""Deterministic hashed bag-of-words features (the hashing trick)."""
+"""Deterministic hashed bag-of-words features (the hashing trick).
+
+:meth:`HashingVectorizer.transform` is the one implementation: it encodes a
+column a :data:`~repro.text.lexicon.BLOCK_TEXTS` block at a time, hashing
+each distinct n-gram of a block once. :meth:`HashingVectorizer.transform_one`
+is a one-row call of it.
+"""
 
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .lexicon import SentimentLexicon
+from .lexicon import TokenBlock, blocks
 
 __all__ = ["stable_hash", "HashingVectorizer"]
 
@@ -19,6 +25,10 @@ def stable_hash(token: str, seed: int = 0) -> int:
 
 class HashingVectorizer:
     """Map texts to fixed-width token-count vectors via feature hashing.
+
+    Each word n-gram (its tokens joined by single spaces) adds ±1 to bucket
+    ``stable_hash(gram) % n_features``, and each row is scaled to unit norm
+    (an all-zero row stays zero).
 
     Parameters
     ----------
@@ -46,22 +56,51 @@ class HashingVectorizer:
         self.ngram_range = (int(lo), int(hi))
         self.signed = bool(signed)
 
-    def _ngrams(self, tokens: Sequence[str]) -> Iterable[str]:
-        lo, hi = self.ngram_range
-        for size in range(lo, hi + 1):
-            for start in range(len(tokens) - size + 1):
-                yield " ".join(tokens[start : start + size])
-
     def transform_one(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.n_features)
-        tokens = SentimentLexicon.tokenize(text)
-        for gram in self._ngrams(tokens):
-            h = stable_hash(gram)
-            bucket = h % self.n_features
-            sign = 1.0 if (not self.signed or (h >> 16) & 1 == 0) else -1.0
-            vec[bucket] += sign
-        norm = np.linalg.norm(vec)
-        return vec / norm if norm > 0 else vec
+        """One text's vector: a one-row :meth:`transform`."""
+        return self.transform([text])[0]
 
     def transform(self, texts: Iterable[str]) -> np.ndarray:
-        return np.vstack([self.transform_one(t) for t in texts])
+        """A ``(len(texts), n_features)`` matrix, one unit-norm row per text."""
+        parts = [self.transform_block(TokenBlock(block)) for block in blocks(texts)]
+        return np.vstack(parts) if parts else np.empty((0, self.n_features))
+
+    def transform_block(self, block: TokenBlock) -> np.ndarray:
+        """One unit-norm row of hashed n-gram counts per text of ``block``."""
+        lo, hi = self.ngram_range
+        width, n_vocab, ids = self.n_features, len(block.vocab), block.ids
+        # Tokens from each position to the end of its text, itself included.
+        left = np.cumsum(block.lengths)[block.rows] - np.arange(len(ids))
+        # The n-grams of the current size: where each starts, a dense code
+        # per distinct n-gram, and the n-gram of each code.
+        starts, codes, grams = np.arange(len(ids)), ids, block.vocab
+        cells, signs = [], []
+        for size in range(1, hi + 1):
+            if size > 1:
+                # An n-gram is an (n-1)-gram and the token after it; coding
+                # the pairs densely again keeps keys below len(ids) * n_vocab.
+                keep = left[starts] >= size
+                starts, codes = starts[keep], codes[keep]
+                keys, codes = np.unique(
+                    codes * n_vocab + ids[starts + size - 1], return_inverse=True
+                )
+                head, tail = np.divmod(keys, n_vocab)
+                grams = [
+                    f"{grams[h]} {block.vocab[t]}"
+                    for h, t in zip(head.tolist(), tail.tolist())
+                ]
+            if size >= lo:
+                hashes = np.array([stable_hash(g) for g in grams], dtype=np.int64)
+                cells.append(block.rows[starts] * width + (hashes % width)[codes])
+                sign = 1 - 2 * ((hashes >> 16) & 1) if self.signed else np.ones_like(hashes)
+                signs.append(sign[codes])
+        n_rows = len(block.lengths)
+        counts = np.bincount(
+            np.concatenate(cells),
+            weights=np.concatenate(signs),
+            minlength=n_rows * width,
+        )
+        # With no n-gram at all, bincount ignores the weights and counts in ints.
+        counts = counts.astype(np.float64, copy=False).reshape(n_rows, width)
+        norms = np.linalg.norm(counts, axis=1, keepdims=True)
+        return np.divide(counts, norms, out=counts, where=norms > 0)

@@ -65,8 +65,9 @@ class TestHashing:
         assert not np.allclose(a, b)
 
     def test_batch_transform_shape(self):
-        out = HashingVectorizer(n_features=16).transform(["a", "b c"])
-        assert out.shape == (2, 16)
+        for texts in (["a", "b c"], []):
+            out = HashingVectorizer(n_features=16).transform(texts)
+            assert out.shape == (len(texts), 16)
 
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError):
