@@ -28,18 +28,29 @@ The pool speedup gates are hardware-conditioned: they only bind when the
 machine actually has ``ENGINE_WORKERS`` cores (CI runners do; a 1-core
 sandbox reports the ratios without asserting them).
 
+The third experiment (T-flat) gates the driver's per-job overhead on a
+long-lived pool, whose worker journal grows for as long as a service
+runs. A fresh engine adopts a pool and runs one service-sized job (three
+permutations of a fresh seed, one wave each) over a cheap game; the median
+job time with a ~50k-entry journal must stay within 1.5x of the median
+with a ~1k-entry journal. Jobs alternate between the two pools, so host
+drift hits both sides alike.
+
 Sizes are env-tunable so CI can smoke-test the bench in seconds:
 ``REPRO_BENCH_SIZES=30,60`` and ``REPRO_BENCH_ENGINE_N=24``
 ``REPRO_BENCH_ENGINE_PERMS=4``.
 """
 
+import multiprocessing as mp
 import os
 import time
 
 import numpy as np
+import pytest
 
 from repro.datasets import make_classification
 from repro.importance import (
+    SubsetUtility,
     Utility,
     ValuationEngine,
     WorkerPool,
@@ -297,3 +308,108 @@ def test_engine_speedup(benchmark, write_report):
     # Convergence stopping must spend fewer evaluations than its budget
     # (8× the base permutation count) would imply.
     assert converged["n_permutations_run"] <= ENGINE_PERMUTATIONS * 8
+
+
+# --------------------------------------------------------------------- #
+# T-flat: per-job driver overhead against the pool journal's size       #
+# --------------------------------------------------------------------- #
+
+#: Journal sizes of the flat-overhead gate, and the largest allowed ratio
+#: of their median job times.
+FLAT_SMALL = 1_000
+FLAT_LARGE = 50_000
+FLAT_MAX_RATIO = 1.5
+#: Timed jobs per pool, after untimed ones that ship each worker the
+#: journal it has not seen yet.
+FLAT_JOBS = 25
+FLAT_WARMUP = 2
+FLAT_N = 60
+FLAT_WORKERS = 2
+
+
+def _flat_game() -> SubsetUtility:
+    """A cheap game, so a job's time is the driver's overhead, not fits."""
+    weights = np.random.default_rng(5).normal(size=FLAT_N)
+
+    def func(indices):
+        return float(np.tanh(weights[np.asarray(indices, dtype=int)].sum()))
+
+    return SubsetUtility(func, FLAT_N)
+
+
+def _flat_pool(game: SubsetUtility, entries: int) -> WorkerPool:
+    """A pool whose journal holds about ``entries`` distinct prefixes.
+
+    The engine that fills it memoizes every one of them, so none is
+    evicted before it reaches the journal.
+    """
+    pool = WorkerPool(game, n_workers=FLAT_WORKERS)
+    filler = ValuationEngine(
+        game, n_workers=FLAT_WORKERS, pool=pool, cache_size=2 * FLAT_LARGE
+    )
+    filler.run_permutations(entries // (FLAT_N - 1), seed=entries)
+    return pool
+
+
+def _ignore_progress(progress: dict) -> None:
+    """A progress callback makes each ``check_every`` ordering its own
+    wave, as the service's valuation handler does."""
+
+
+def _flat_job(pool: WorkerPool, game: SubsetUtility, seed: int) -> float:
+    """Seconds for a fresh engine to adopt ``pool`` and run one job."""
+    started = time.perf_counter()
+    engine = ValuationEngine(game, n_workers=FLAT_WORKERS, pool=pool)
+    engine.run_permutations(
+        3, seed=seed, check_every=1, progress_callback=_ignore_progress
+    )
+    return time.perf_counter() - started
+
+
+def run_flat_overhead() -> dict:
+    game = _flat_game()
+    pools = {
+        "small": _flat_pool(game, FLAT_SMALL),
+        "large": _flat_pool(game, FLAT_LARGE),
+    }
+    try:
+        before = {name: pool.stats()["journal_entries"] for name, pool in pools.items()}
+        times: dict[str, list[float]] = {name: [] for name in pools}
+        seed = 0
+        for round_ in range(FLAT_WARMUP + FLAT_JOBS):
+            names = list(pools) if round_ % 2 == 0 else list(pools)[::-1]
+            for name in names:
+                seed += 1  # a fresh seed: its prefixes need the workers
+                elapsed = _flat_job(pools[name], game, seed)
+                if round_ >= FLAT_WARMUP:
+                    times[name].append(elapsed)
+        after = {name: pool.stats()["journal_entries"] for name, pool in pools.items()}
+    finally:
+        for pool in pools.values():
+            pool.close()
+    small_ms = 1e3 * float(np.median(times["small"]))
+    large_ms = 1e3 * float(np.median(times["large"]))
+    return {
+        "small_journal": [before["small"], after["small"]],
+        "large_journal": [before["large"], after["large"]],
+        "small_median_ms": round(small_ms, 3),
+        "large_median_ms": round(large_ms, 3),
+        "ratio": round(large_ms / small_ms, 3),
+        "max_ratio": FLAT_MAX_RATIO,
+        "n_jobs": FLAT_JOBS,
+        "n_train": FLAT_N,
+        "n_workers": FLAT_WORKERS,
+    }
+
+
+def test_flat_pool_overhead(benchmark, write_report):
+    if "fork" not in mp.get_all_start_methods():
+        pytest.skip("the closure game rides on fork inheritance")
+    summary = benchmark.pedantic(run_flat_overhead, rounds=1, iterations=1)
+    write_report(
+        "pool_flat_overhead", format_records([summary]), records=summary
+    )
+    # Per-job driver overhead is O(new entries): a 50x longer journal
+    # leaves the median job time within FLAT_MAX_RATIO.
+    assert summary["large_journal"][0] >= FLAT_LARGE * 0.9
+    assert summary["ratio"] <= FLAT_MAX_RATIO

@@ -13,7 +13,8 @@ memoized utility cache
     ``v(S)`` is cached under the *sorted* index tuple in an LRU-bounded
     :class:`SubsetCache` with hit/miss/eviction counters. ``v(∅)``, ``v(N)``
     and every repeated subset are evaluated once per engine, even when
-    several estimators share one :class:`ValuationEngine`.
+    several estimators share one :class:`ValuationEngine` — and once per
+    worker pool, whose memo every engine fanning out on it shares.
 
 supervised process fan-out
     Permutations (or subsets) are partitioned into chunks dispatched across
@@ -81,11 +82,12 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
+import threading
 import time
 import warnings
 from bisect import insort
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -116,8 +118,6 @@ DEFAULT_CACHE_SIZE = 32768
 #: latency-quantile estimates, at slightly more dispatch overhead. Does not
 #: affect returned values.
 _CHUNKS_PER_WORKER = 2
-
-_MISSING = object()
 
 
 class _MemoMiss(Exception):
@@ -178,14 +178,29 @@ def _warn_no_fork(mode: str = "engine") -> None:
         )
 
 
+class SubsetMemo:
+    """The entries of a :class:`SubsetCache`, least recently used first.
+    A worker pool's memo (``shared=True``) has a lock of its own and queues
+    each key's first insert for the pool's worker journal."""
+
+    def __init__(self, max_size: int, shared: bool = False) -> None:
+        self.max_size = int(max_size)
+        self.data: OrderedDict[tuple[int, ...], float] = OrderedDict()
+        self.lock: Any = threading.Lock() if shared else nullcontext()
+        self.queued: list | None = [] if shared else None
+
+
 class SubsetCache:
-    """LRU-bounded memo of ``v(S)`` keyed by the sorted index tuple."""
+    """LRU-bounded memo of ``v(S)`` keyed by the sorted index tuple.
+
+    The counters are its own, the entries a worker pool's after :meth:`share`.
+    """
 
     def __init__(self, max_size: int = DEFAULT_CACHE_SIZE) -> None:
         if max_size < 0:
             raise ValueError("max_size must be >= 0")
         self.max_size = int(max_size)
-        self._data: OrderedDict[tuple[int, ...], float] = OrderedDict()
+        self.memo = SubsetMemo(self.max_size)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -196,36 +211,62 @@ class SubsetCache:
         return tuple(sorted(int(i) for i in indices))
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self.memo.data)
 
     def __contains__(self, key: tuple[int, ...]) -> bool:
-        return key in self._data
+        return key in self.memo.data
 
-    def lookup(self, key: tuple[int, ...]) -> Any:
-        """Value for ``key`` (counted as a hit) or ``_MISSING`` (a miss)."""
-        value = self._data.get(key, _MISSING)
-        if value is _MISSING:
+    def lookup(self, key: tuple[int, ...]) -> float | None:
+        """Value for ``key`` (a hit, now most recently used) or None (a miss)."""
+        memo = self.memo
+        with memo.lock:
+            value = memo.data.get(key)
+            if value is not None:
+                memo.data.move_to_end(key)
+        if value is None:
             self.misses += 1
         else:
             self.hits += 1
-            self._data.move_to_end(key)
         return value
 
-    def put(self, key: tuple[int, ...], value: float) -> None:
+    def put(self, key: tuple[int, ...], value: float) -> bool:
+        """Memoize ``v(key)``; whether the memo did not hold ``key`` yet."""
         if self.max_size == 0:
+            return True
+        memo = self.memo
+        with memo.lock:
+            new = key not in memo.data
+            if not new:
+                memo.data.move_to_end(key)
+            elif memo.queued is not None:
+                # Bounded, also while no dispatch drains the queue.
+                memo.queued.append((key, value))
+                if len(memo.queued) > 2 * memo.max_size:
+                    del memo.queued[: memo.max_size]
+            memo.data[key] = value
+            while len(memo.data) > memo.max_size:
+                memo.data.popitem(last=False)
+                self.evictions += 1
+        return new
+
+    def share(self, memo: SubsetMemo) -> None:
+        """Read and write ``memo``, folding this cache's entries into it and
+        raising its bound to ``max_size``; a zero-size cache never shares."""
+        if self.max_size == 0 or memo is self.memo:
             return
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = value
-        while len(self._data) > self.max_size:
-            self._data.popitem(last=False)
-            self.evictions += 1
+        with memo.lock:
+            memo.max_size = max(memo.max_size, self.max_size)
+        with self.memo.lock:
+            entries = list(self.memo.data.items())
+        self.memo = memo
+        for key, value in entries:
+            self.put(key, value)
 
     def stats(self) -> dict:
         total = self.hits + self.misses
         return {
-            "size": len(self._data),
-            "max_size": self.max_size,
+            "size": len(self.memo.data),
+            "max_size": self.memo.max_size,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -475,7 +516,9 @@ class ValuationEngine:
         single ``RuntimeWarning``. The returned values are identical for
         every worker count (deterministic utilities).
     cache_size:
-        LRU bound of the subset memo; ``0`` disables memoization.
+        LRU bound of the subset memo; ``0`` disables memoization. Engines
+        on a worker pool share its memo, bounded by the largest
+        ``cache_size`` among them; a ``cache_size=0`` engine never shares.
     ledger:
         Optional :class:`repro.obs.RunLedger`; when set, every
         :meth:`run_permutations` call appends a ``"valuation"`` event
@@ -507,8 +550,9 @@ class ValuationEngine:
         Without an owned, borrowed or leased pool, each
         :meth:`run_permutations` / :meth:`evaluate_many` call fans out on
         a call-scoped pool (fork start, no warmup, no ledger) that it
-        closes before returning. Returned values are bit-identical in
-        every mode.
+        closes before returning. Whatever the kind, the engine shares the
+        pool's subset memo while it fans out there (see ``cache_size``).
+        Returned values are bit-identical in every mode.
     chaos:
         Optional :class:`repro.errors.chaos.ChaosMonkey` whose seeded
         *worker-level* faults (crash-on-chunk, hang-on-chunk) are injected
@@ -547,16 +591,17 @@ class ValuationEngine:
         self._owns_pool = False
         self._pool_disabled = pool is False
         if pool is True:
-            self._pool = WorkerPool(
+            pool = WorkerPool(
                 utility,
                 n_workers=self.n_workers,
                 ledger=ledger,
                 chunk_timeout_s=chunk_timeout_s,
                 chaos=chaos,
             )
+            self.use_pool(pool)
             self._owns_pool = True
         elif isinstance(pool, WorkerPool):
-            self._adopt_pool(pool)
+            self.use_pool(pool)
 
     @property
     def n_train(self) -> int:
@@ -590,30 +635,22 @@ class ValuationEngine:
         self.close()
 
     def use_pool(self, pool: WorkerPool) -> None:
-        """Borrow ``pool`` for subsequent fan-outs (caller keeps ownership).
+        """Borrow ``pool`` for subsequent fan-outs (caller keeps ownership)
+        and share its subset memo.
 
         The hook the service runtime uses to hand sequential jobs over the
-        same dataset one warm pool instead of a fleet per job.
+        same dataset one warm pool instead of a fleet per job. The cache
+        folds its few entries into the pool's memo, at O(own entries). A
+        weak borrower claim keeps registry LRU eviction from closing the
+        pool out from under a live run.
         """
         if self._owns_pool and self._pool is not None and not self._pool.closed:
             raise RuntimeError("engine already owns a live pool")
-        self._adopt_pool(pool)
+        self._pool = pool
         self._owns_pool = False
         self._pool_disabled = False
-
-    def _adopt_pool(self, pool: WorkerPool) -> None:
-        """Take ``pool`` as the fan-out substrate and absorb its warmth.
-
-        The pool's journal (every subset value any of its workers ever
-        reported) is replayed into this engine's cache, so driver-side
-        evaluations — the full-set utility for truncation thresholds,
-        point :meth:`evaluate` calls — are as warm as the fleet. The
-        engine also registers a weak borrower claim so registry LRU
-        eviction cannot close the pool out from under a live run.
-        """
-        self._pool = pool
         pool.add_borrower(self)
-        pool.warm_cache(self.cache)
+        self.cache.share(pool.memo)
 
     # ------------------------------------------------------------------ #
     # observability                                                      #
@@ -637,7 +674,7 @@ class ValuationEngine:
             _obs_metrics.counter("engine.cache.hits").inc(hits)
             _obs_metrics.counter("engine.cache.misses").inc(misses)
             _obs_metrics.counter("engine.evaluations").inc(evals)
-            _obs_metrics.gauge("engine.cache.size").set(len(self.cache._data))
+            _obs_metrics.gauge("engine.cache.size").set(len(self.cache))
             _obs_metrics.gauge("engine.n_workers").set(self.n_workers)
             _obs.add_attrs(cache_hits=hits, cache_misses=misses, evaluations=evals)
 
@@ -652,9 +689,16 @@ class ValuationEngine:
     def _memo(self, key: tuple[int, ...]) -> float:
         """Memoized ``v(S)`` for a key that is already canonical (sorted)."""
         value = self.cache.lookup(key)
-        if value is _MISSING:
+        if value is None:
             value = float(self.utility.evaluate(np.asarray(key, dtype=np.int64)))
             self.cache.put(key, value)
+        return value
+
+    def _recall(self, key: tuple[int, ...]) -> float:
+        """Memoized ``v(S)``; raises :class:`_MemoMiss` instead of evaluating."""
+        value = self.cache.lookup(key)
+        if value is None:
+            raise _MemoMiss
         return value
 
     def evaluate_many(
@@ -690,14 +734,12 @@ class ValuationEngine:
             for start in range(0, len(keys), wave):
                 stop = min(start + wave, len(keys))
                 out[start:stop] = self._evaluate_many(keys[start:stop], pool)
+                # Not from the memo, which a concurrent job may evict.
+                done = dict(zip(keys[:stop], out[:stop].tolist()))
                 run.save(
                     completed=stop,
                     n_subsets=len(keys),
-                    values=[
-                        [list(key), self.cache._data[key]]
-                        for key in OrderedDict.fromkeys(keys[:stop])
-                        if key in self.cache._data
-                    ],
+                    values=[[list(key), value] for key, value in done.items()],
                     n_evaluations=run.n_evaluations(),
                     finished=stop >= len(keys),
                 )
@@ -715,7 +757,7 @@ class ValuationEngine:
             pending: list[tuple[int, ...]] = []
             for key in OrderedDict.fromkeys(keys):
                 value = self.cache.lookup(key)
-                if value is _MISSING:
+                if value is None:
                     pending.append(key)
                 else:
                     values[key] = value
@@ -1009,6 +1051,7 @@ class ValuationEngine:
                 chunk_timeout_s=self.chunk_timeout_s,
                 chaos=self.chaos,
             ) as lease:
+                self.cache.share(lease.memo)
                 yield lease
 
     def _resolve_pool(self) -> WorkerPool | None:
@@ -1022,7 +1065,7 @@ class ValuationEngine:
         registry = current_registry()
         if registry is not None:
             try:
-                self._adopt_pool(registry.lease(self.utility, self.n_workers))
+                self.use_pool(registry.lease(self.utility, self.n_workers))
                 return self._pool
             except PoolUnavailable:
                 _warn_no_fork("pool")
@@ -1038,11 +1081,10 @@ class ValuationEngine:
     ) -> list[Any]:
         """Run chunk descriptors on ``pool`` and fold each chunk's cache
         entries and accounting into this engine; returns the chunk outputs
-        in order. The syncs around the fan-out carry the driver's warmth to
-        the workers and, after the merge, one worker's new entries to its
-        peers (and to later engines leasing the pool) as journal deltas.
-        Chunks and supervision events count into this engine's own
-        :attr:`supervision`, whoever owns the pool.
+        in order. Merged entries land in the pool's memo, whose first
+        inserts the pool's next dispatch carries to the other workers as
+        journal deltas. Chunks and supervision events count into this
+        engine's own :attr:`supervision`, whoever owns the pool.
         """
         if _obs.enabled():
             # Utilization: fraction of the configured pool this fan-out
@@ -1051,13 +1093,11 @@ class ValuationEngine:
             _obs_metrics.histogram("engine.pool.utilization").observe(
                 min(1.0, len(payloads) / self.n_workers)
             )
-        pool.sync_cache(self.cache._data)
         results = pool.dispatch(payloads, self.supervision)
         outputs = []
         for __, output, entries, evals, counters, __meta in results:
-            self._merge_worker(dict(entries), evals, counters, count_lookups)
+            self._merge_worker(entries, evals, counters, count_lookups)
             outputs.append(output)
-        pool.sync_cache(self.cache._data)
         return outputs
 
     def _ordering_stream(
@@ -1083,12 +1123,22 @@ class ValuationEngine:
         self, orderings: Sequence[np.ndarray], scan: dict, pool: WorkerPool | None
     ) -> tuple[np.ndarray, int]:
         """One wave's marginal rows and truncated-scan count; ``scan`` holds
-        the run's ``weights``, ``truncation_tolerance``, ``null``, ``full``."""
+        the run's ``weights``, ``truncation_tolerance``, ``null``, ``full``.
+
+        On a pool, the wave is first scanned from the memo alone: a warm
+        engine, or one on a warm pool, often holds every subset it needs,
+        and answering here skips the dispatch. Each read refreshes the
+        subset's recency, so a long-lived shared memo evicts the subsets no
+        wave reads, not the hot ones. A wave that misses is dispatched, and
+        its lookups are counted once, from the workers' reports.
+        """
         if pool is None:
             return _scan_orderings(self._memo, orderings, **scan)
-        answered = self._scan_from_memo(orderings, scan)
-        if answered is not None:
-            return answered
+        counts = self.cache.hits, self.cache.misses
+        try:
+            return _scan_orderings(self._recall, orderings, **scan)
+        except _MemoMiss:
+            self.cache.hits, self.cache.misses = counts
         outputs = self._dispatch(
             pool,
             [
@@ -1100,37 +1150,8 @@ class ValuationEngine:
         deltas = np.concatenate([chunk for chunk, __ in outputs], axis=0)
         return deltas, sum(truncated for __, truncated in outputs)
 
-    def _scan_from_memo(
-        self, orderings: Sequence[np.ndarray], scan: dict
-    ) -> tuple[np.ndarray, int] | None:
-        """Scan a wave from the driver's memo alone; None at the first miss.
-
-        A warm engine, or one that adopted a warm pool, often holds every
-        subset a wave needs: answering it here skips the pool dispatch and
-        the cache syncs around it. Hits are counted only when the whole
-        wave is answered, so a wave that does dispatch is counted once,
-        from the workers' lookups, exactly as before.
-        """
-        memo = self.cache._data
-        hits = 0
-
-        def lookup(key: tuple[int, ...]) -> float:
-            nonlocal hits
-            value = memo.get(key, _MISSING)
-            if value is _MISSING:
-                raise _MemoMiss
-            hits += 1
-            return value
-
-        try:
-            answered = _scan_orderings(lookup, orderings, **scan)
-        except _MemoMiss:
-            return None
-        self.cache.hits += hits
-        return answered
-
     def _merge_worker(
-        self, new_entries: dict, evals: int, counters: list, count_lookups: bool
+        self, new_entries: list, evals: int, counters: list, count_lookups: bool
     ) -> None:
         """Fold one worker chunk's cache entries and accounting into ours.
 
@@ -1142,12 +1163,13 @@ class ValuationEngine:
         benchmark results). Physically duplicated work is still visible as
         the ``engine.pool.duplicate_evals`` counter. Lookup accounting is
         normalized the same way, so hit/miss totals match the serial scan.
+        On a shared memo, a subset that a concurrent job merged first also
+        counts as a duplicate for this job, which is then not charged.
         """
         duplicates = 0
-        for key, value in new_entries.items():
-            if key in self.cache._data:
+        for key, value in new_entries:
+            if not self.cache.put(key, value):
                 duplicates += 1
-            self.cache.put(key, value)
         charged = max(0, int(evals) - duplicates)
         self.utility.n_evaluations += charged
         if duplicates and _obs.enabled():

@@ -32,14 +32,17 @@ a call-scoped one (fork start, no warmup, no ledger) that its
     :class:`~repro.importance.engine.ValuationEngine` (and therefore every
     ``nde.*_values`` facade) leases from automatically.
 
-Cache coherence keeps the driver's cache the single source of truth:
-workers report every newly evaluated subset back with their chunk results,
-the driver merges them (charging the evaluation census only for subsets it
-did not already know — so the census stays bit-identical to serial), and a
-monotone journal of merged entries is replayed to each worker via per-slot
-watermarks piggybacked on chunk descriptors. Results are merged in chunk
-order, so values are bit-identical to serial for any worker count, any
-start method, and any crash/retry history.
+Cache coherence: each pool owns the one driver-side subset memo of its
+dataset (:attr:`WorkerPool.memo`), which every engine fanning out on the
+pool shares. Workers report each newly evaluated subset with their chunk
+results; the driver merges them into the memo, charging the evaluation
+census only for subsets it did not hold (so the census matches serial).
+A key's first insert queues it for a monotone journal, which
+:meth:`WorkerPool.dispatch` folds in and replays to each worker via
+per-slot watermarks piggybacked on chunk descriptors, so a fan-out costs
+O(new entries). Results are merged in chunk order, so values are
+bit-identical to serial for any worker count, any start method, and any
+crash/retry history.
 
 Start methods: ``fork`` is preferred (cheap worker replacement). On
 spawn-only platforms the pool still runs — shared memory plus picklable
@@ -51,10 +54,12 @@ module).
 Thread safety: one pool is routinely shared across threads — the service
 runtime runs handlers concurrently and :class:`PoolRegistry` hands every
 job on a dataset fingerprint the same pool — but the dispatcher's pipes,
-per-dispatch chunk ids, and the cache journal's watermarks are all
+per-dispatch chunk ids, and the journal's watermarks are all
 single-fan-out state. A per-pool re-entrant lock therefore serializes
-:meth:`dispatch` (and the journal mutators) so concurrent fan-outs queue
-instead of consuming each other's chunk results; see ``_lock``.
+:meth:`dispatch` (and the journal fold) so concurrent fan-outs queue
+instead of consuming each other's chunk results; see ``_lock``. The memo
+has a lock of its own, so one job reads and writes it while another
+job's fan-out holds the pool lock.
 """
 
 from __future__ import annotations
@@ -83,10 +88,10 @@ __all__ = [
     "utility_fingerprint",
 ]
 
-#: Journal compaction threshold: when the merged-entry journal exceeds
-#: this, the oldest half is dropped (workers that never received those
-#: entries simply re-evaluate on demand; the census stays correct because
-#: the driver charges per *newly learned* subset, not per worker call).
+#: Journal compaction threshold: when the worker journal exceeds this, the
+#: oldest half is dropped. The journal only feeds workers their deltas, so
+#: a worker that never received the dropped entries re-evaluates them on
+#: demand; the driver's memo, and the census it decides, never read it.
 _JOURNAL_CAP = 65536
 
 #: Arrays a standard :class:`~repro.importance.utility.Utility` carries.
@@ -355,6 +360,8 @@ class WorkerPool:
     ) -> None:
         import multiprocessing as mp
 
+        from .engine import SubsetMemo  # imported late: engine imports us
+
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         available = mp.get_all_start_methods()
@@ -413,10 +420,11 @@ class WorkerPool:
                     state["chaos"] = None
 
         self.shm_bytes = self.bundle.nbytes if self.bundle is not None else 0
-        # Cache-coherence journal: every subset the driver has merged, in
-        # merge order; per-slot watermarks of what each worker has seen.
+        #: The dataset's driver-side subset memo, which every engine shares.
+        self.memo = SubsetMemo(0, shared=True)
+        # Worker journal: the memo's first inserts, in the order dispatch
+        # folded them in; per-slot watermarks of what each worker has seen.
         self._journal: list[tuple[tuple[int, ...], float]] = []
-        self._known: set[tuple[int, ...]] = set()
         self._journal_dropped = 0
         self._watermarks: dict[int, int] = {}
         self._workers_alive = 0
@@ -460,50 +468,6 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     # cache coherence                                                    #
     # ------------------------------------------------------------------ #
-
-    def sync_cache(self, entries: Mapping[tuple[int, ...], float]) -> int:
-        """Queue driver-cache entries workers have not been told about.
-
-        Called by the engine before each fan-out (and after merging worker
-        results) with its full cache; only entries the journal has never
-        seen are appended. Returns how many were new.
-        """
-        added = 0
-        with self._lock:
-            for key, value in entries.items():
-                if key not in self._known:
-                    self._known.add(key)
-                    self._journal.append((key, value))
-                    added += 1
-            if len(self._journal) > _JOURNAL_CAP:
-                drop = len(self._journal) - _JOURNAL_CAP // 2
-                dropped_keys = self._journal[:drop]
-                self._journal = self._journal[drop:]
-                self._journal_dropped += drop
-                for key, __ in dropped_keys:
-                    self._known.discard(key)
-                for slot in self._watermarks:
-                    self._watermarks[slot] = max(
-                        0, self._watermarks[slot] - drop
-                    )
-        return added
-
-    def warm_cache(self, cache: Any) -> int:
-        """Replay the journal into an adopting engine's subset cache.
-
-        A fresh engine borrowing a warm pool starts with an empty driver
-        cache, but the driver evaluates a few subsets itself (the full
-        set for truncation thresholds, ad-hoc :meth:`ValuationEngine.evaluate`
-        calls) — without this replay those would re-fit models the pool's
-        workers already paid for. ``cache`` is a
-        :class:`~repro.importance.engine.SubsetCache`; returns the number
-        of entries replayed.
-        """
-        with self._lock:
-            entries = list(self._journal)
-        for key, value in entries:
-            cache.put(key, value)
-        return len(entries)
 
     def _payload_hook(self, slot: int, payload: Any) -> Any:
         """Attach this worker's journal delta — and, when tracing is on,
@@ -577,13 +541,24 @@ class WorkerPool:
         """Run chunk descriptors on the fleet; results in payload order.
 
         ``stats``, when given, also counts this fan-out's completed chunks
-        and supervision events — the borrowing engine's own tally.
-        Thread-safe: concurrent callers queue on the pool lock — one
-        fan-out owns the pipes at a time.
+        and supervision events — the borrowing engine's own tally. The
+        memo's queued first inserts join the worker journal first, so the
+        descriptors carry them to the workers. Thread-safe: concurrent
+        callers queue on the pool lock — one fan-out owns the pipes at a
+        time.
         """
         with self._lock:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
+            with self.memo.lock:
+                queued, self.memo.queued = self.memo.queued, []
+            self._journal.extend(queued)
+            if len(self._journal) > _JOURNAL_CAP:
+                drop = len(self._journal) - _JOURNAL_CAP // 2
+                del self._journal[:drop]
+                self._journal_dropped += drop
+                for slot, watermark in self._watermarks.items():
+                    self._watermarks[slot] = max(0, watermark - drop)
             self.chunks_dispatched += len(payloads)
             if _obs.enabled():
                 _obs_metrics.counter("engine.pool.chunks_dispatched").inc(
@@ -651,7 +626,8 @@ class WorkerPool:
                 "mean": float(np.mean(attach)) if attach else None,
                 "max": float(np.max(attach)) if attach else None,
             },
-            "journal_entries": len(self._journal),
+            # Queued first inserts count: the next dispatch folds them in.
+            "journal_entries": len(self._journal) + len(self.memo.queued),
             "journal_dropped": self._journal_dropped,
             "borrowers": len(self._borrower_refs),
             "supervision": self.supervision.to_dict(),

@@ -333,6 +333,95 @@ class TestWarmReuse:
         assert active_map_pool() is None
 
 
+# ---------------------------------------------------------------------- #
+# the shared subset memo                                                 #
+# ---------------------------------------------------------------------- #
+
+
+class TestSharedMemo:
+    def test_memo_answered_rerun_keeps_its_subsets_recent(self):
+        """A wave answered from the memo refreshes the recency of every
+        subset it read. Filler entries inserted after the first run are
+        then older than the wave's subsets, so the next insert evicts a
+        filler and a third rerun is answered without a dispatch."""
+        size = 100
+        with WorkerPool(small_utility(), n_workers=2) as pool:
+            engine = ValuationEngine(
+                small_utility(), n_workers=2, pool=pool, cache_size=size
+            )
+            first = engine.run_permutations(2, seed=5)
+            learned = len(engine.cache)
+            assert 0 < learned < size
+            fillers = [(1000 + i,) for i in range(size - learned + 1)]
+            for key in fillers[:-1]:
+                engine.cache.put(key, 0.0)
+            assert len(engine.cache) == size
+            dispatched = pool.chunks_dispatched
+            engine.run_permutations(2, seed=5)
+            assert pool.chunks_dispatched == dispatched
+            engine.cache.put(fillers[-1], 0.0)  # evicts the LRU entry
+            third = engine.run_permutations(2, seed=5)
+            assert pool.chunks_dispatched == dispatched
+        assert np.array_equal(third.values(), first.values())
+
+    def test_owned_pool_journal_holds_every_learned_subset(self):
+        """An engine-owned pool shares its memo like any other: every
+        subset the driver learned is in the worker journal, or queued for
+        it at the next dispatch."""
+        with ValuationEngine(
+            small_utility(), n_workers=2, pool=True
+        ) as engine:
+            engine.run_permutations(4, seed=3)
+            journal = engine._pool.stats()["journal_entries"]
+        assert journal == len(engine.cache) > 0
+
+    def test_journal_queue_stays_bounded_without_a_dispatch(self):
+        """Driver-side evaluations queue their first inserts for the
+        journal; with no dispatch to drain the queue, it keeps at most
+        twice the memo's bound."""
+        with WorkerPool(small_utility(), n_workers=2) as pool:
+            engine = ValuationEngine(
+                small_utility(), n_workers=2, pool=pool, cache_size=4
+            )
+            for i in range(30):
+                engine.evaluate([i])
+            assert len(engine.cache) == 4
+            assert 4 <= pool.stats()["journal_entries"] <= 8
+
+    @needs_fork
+    def test_call_scoped_lease_reevaluates_nothing_the_driver_knew(self):
+        """A fresh call-scoped lease starts with empty worker caches; the
+        subsets the driver already knew must reach its workers, so a
+        single-chunk wave re-evaluates none of them."""
+        from repro.obs import metrics as obs_metrics
+        from repro.obs import trace as obs_trace
+
+        utility = small_utility()
+        order = np.random.default_rng(8).permutation(utility.n_train)
+        known = [sorted(order[:k].tolist()) for k in range(1, 19)]
+        engine = ValuationEngine(utility, n_workers=2)
+        engine.evaluate_many(known)  # a first call-scoped lease
+        chunks = engine.supervision.chunks_completed
+        obs_trace.enable()
+        try:
+            # One ordering per wave: each wave is one chunk on one worker,
+            # and its first 18 prefixes are the subsets evaluated above.
+            run = engine.run_permutations(
+                2, seed=8, check_every=1, progress_callback=lambda p: None
+            )
+            duplicates = obs_metrics.snapshot().get(
+                "engine.pool.duplicate_evals", {"value": 0}
+            )["value"]
+        finally:
+            obs_trace.disable()
+            obs_metrics.registry().clear()
+            obs_trace.get_recorder().reset()
+        assert engine.supervision.chunks_completed == chunks + 2
+        assert duplicates == 0
+        serial = ValuationEngine(small_utility()).run_permutations(2, seed=8)
+        assert np.array_equal(run.values(), serial.values())
+
+
 def _double(x):
     return x * 2
 
@@ -424,6 +513,64 @@ class TestThreadSafety:
         for tid in range(2):
             assert np.array_equal(runs[tid].values(), serial.values())
             assert np.array_equal(runs[tid].stderr(), serial.stderr())
+
+    def test_threads_sharing_an_evicting_memo_match_serial(self, tmp_path):
+        """Four engines on one pool, with a memo far smaller than the
+        subsets they need, evict each other's entries mid-wave. Every run
+        still returns values bit-identical to serial, and nothing raises —
+        including the checkpointed ``evaluate_many`` branch."""
+        subsets = [[j for j in range(12) if (i >> j) & 1] for i in range(1, 25)]
+        config = {"estimator": "stress"}
+        serial_many = ValuationEngine(small_utility()).evaluate_many(subsets)
+        serial = {
+            tid: ValuationEngine(small_utility()).run_permutations(3, seed=tid)
+            for tid in range(4)
+        }
+        runs: dict[tuple[int, int], object] = {}
+        many: dict[tuple[int, int], np.ndarray] = {}
+        points: dict[tuple[int, int], list] = {}
+        errors: list[Exception] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(small_utility(), n_workers=2) as pool:
+
+                def run(tid: int) -> None:
+                    try:
+                        engine = ValuationEngine(
+                            small_utility(), n_workers=2, pool=pool,
+                            cache_size=8, checkpoint=tmp_path / f"{tid}.json",
+                        )
+                        for rep in range(2):
+                            runs[tid, rep] = engine.run_permutations(
+                                3, seed=tid, check_every=1
+                            )
+                            many[tid, rep] = engine.evaluate_many(
+                                subsets, checkpoint_config=config, wave_size=5
+                            )
+                            points[tid, rep] = [
+                                engine.evaluate(subset) for subset in subsets
+                            ]
+                    except Exception as exc:  # pragma: no cover - fail below
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=run, args=(tid,)) for tid in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(runs) == len(many) == len(points) == 8
+        for (tid, __), got in runs.items():
+            assert np.array_equal(got.values(), serial[tid].values())
+            assert np.array_equal(got.stderr(), serial[tid].stderr())
+        for got in [*many.values(), *points.values()]:
+            assert np.array_equal(got, serial_many)
 
     def test_concurrent_maps_preserve_per_call_order(self):
         """parallel_map from several threads over one active pool."""
