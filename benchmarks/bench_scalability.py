@@ -29,12 +29,12 @@ machine actually has ``ENGINE_WORKERS`` cores (CI runners do; a 1-core
 sandbox reports the ratios without asserting them).
 
 The third experiment (T-flat) gates the driver's per-job overhead on a
-long-lived pool, whose worker journal grows for as long as a service
-runs. A fresh engine adopts a pool and runs one service-sized job (three
+long-lived pool, whose subset memo fills up as a service runs. A fresh
+engine adopts a pool and runs one service-sized job (three
 permutations of a fresh seed, one wave each) over a cheap game; the median
-job time with a ~50k-entry journal must stay within 1.5x of the median
-with a ~1k-entry journal. Jobs alternate between the two pools, so host
-drift hits both sides alike.
+job time with a ~50k-entry memo must stay within 1.5x of the median with
+a ~1k-entry memo. Jobs alternate between the two pools, so host drift hits
+both sides alike.
 
 Sizes are env-tunable so CI can smoke-test the bench in seconds:
 ``REPRO_BENCH_SIZES=30,60`` and ``REPRO_BENCH_ENGINE_N=24``
@@ -208,8 +208,8 @@ def run_engine_sweep() -> list[dict]:
     )
     pool_cold["pool_setup_s"] = round(pool_setup_s, 4)
     pool_cold["pool_mode"] = pool.mode
-    # A *fresh* engine on the same warm pool: the workers' local caches
-    # (kept coherent by the journal) answer everything — the service
+    # A *fresh* engine on the same warm pool: the pool's subset memo,
+    # which the fresh engine shares, answers everything — the service
     # runtime's repeat-job case.
     pool_warm = _timed_run(
         ValuationEngine(_engine_task(), n_workers=ENGINE_WORKERS, pool=pool),
@@ -311,16 +311,15 @@ def test_engine_speedup(benchmark, write_report):
 
 
 # --------------------------------------------------------------------- #
-# T-flat: per-job driver overhead against the pool journal's size       #
+# T-flat: per-job driver overhead against the pool memo's size          #
 # --------------------------------------------------------------------- #
 
-#: Journal sizes of the flat-overhead gate, and the largest allowed ratio
-#: of their median job times.
+#: Memo sizes of the flat-overhead gate, and the largest allowed ratio of
+#: their median job times.
 FLAT_SMALL = 1_000
 FLAT_LARGE = 50_000
 FLAT_MAX_RATIO = 1.5
-#: Timed jobs per pool, after untimed ones that ship each worker the
-#: journal it has not seen yet.
+#: Timed jobs per pool, after untimed warm-up jobs.
 FLAT_JOBS = 25
 FLAT_WARMUP = 2
 FLAT_N = 60
@@ -338,10 +337,10 @@ def _flat_game() -> SubsetUtility:
 
 
 def _flat_pool(game: SubsetUtility, entries: int) -> WorkerPool:
-    """A pool whose journal holds about ``entries`` distinct prefixes.
+    """A pool whose memo holds about ``entries`` distinct prefixes.
 
-    The engine that fills it memoizes every one of them, so none is
-    evicted before it reaches the journal.
+    The engine that fills it raises the memo's bound above ``entries``,
+    so none of them is evicted.
     """
     pool = WorkerPool(game, n_workers=FLAT_WORKERS)
     filler = ValuationEngine(
@@ -373,7 +372,7 @@ def run_flat_overhead() -> dict:
         "large": _flat_pool(game, FLAT_LARGE),
     }
     try:
-        before = {name: pool.stats()["journal_entries"] for name, pool in pools.items()}
+        before = {name: len(pool.memo.data) for name, pool in pools.items()}
         times: dict[str, list[float]] = {name: [] for name in pools}
         seed = 0
         for round_ in range(FLAT_WARMUP + FLAT_JOBS):
@@ -383,15 +382,15 @@ def run_flat_overhead() -> dict:
                 elapsed = _flat_job(pools[name], game, seed)
                 if round_ >= FLAT_WARMUP:
                     times[name].append(elapsed)
-        after = {name: pool.stats()["journal_entries"] for name, pool in pools.items()}
+        after = {name: len(pool.memo.data) for name, pool in pools.items()}
     finally:
         for pool in pools.values():
             pool.close()
     small_ms = 1e3 * float(np.median(times["small"]))
     large_ms = 1e3 * float(np.median(times["large"]))
     return {
-        "small_journal": [before["small"], after["small"]],
-        "large_journal": [before["large"], after["large"]],
+        "small_memo": [before["small"], after["small"]],
+        "large_memo": [before["large"], after["large"]],
         "small_median_ms": round(small_ms, 3),
         "large_median_ms": round(large_ms, 3),
         "ratio": round(large_ms / small_ms, 3),
@@ -409,7 +408,7 @@ def test_flat_pool_overhead(benchmark, write_report):
     write_report(
         "pool_flat_overhead", format_records([summary]), records=summary
     )
-    # Per-job driver overhead is O(new entries): a 50x longer journal
-    # leaves the median job time within FLAT_MAX_RATIO.
-    assert summary["large_journal"][0] >= FLAT_LARGE * 0.9
+    # Per-job driver overhead does not grow with the memo: a 50x larger
+    # memo leaves the median job time within FLAT_MAX_RATIO.
+    assert summary["large_memo"][0] >= FLAT_LARGE * 0.9
     assert summary["ratio"] <= FLAT_MAX_RATIO

@@ -180,14 +180,12 @@ def _warn_no_fork(mode: str = "engine") -> None:
 
 class SubsetMemo:
     """The entries of a :class:`SubsetCache`, least recently used first.
-    A worker pool's memo (``shared=True``) has a lock of its own and queues
-    each key's first insert for the pool's worker journal."""
+    A worker pool's memo (``shared=True``) has a lock of its own."""
 
     def __init__(self, max_size: int, shared: bool = False) -> None:
         self.max_size = int(max_size)
         self.data: OrderedDict[tuple[int, ...], float] = OrderedDict()
         self.lock: Any = threading.Lock() if shared else nullcontext()
-        self.queued: list | None = [] if shared else None
 
 
 class SubsetCache:
@@ -238,11 +236,6 @@ class SubsetCache:
             new = key not in memo.data
             if not new:
                 memo.data.move_to_end(key)
-            elif memo.queued is not None:
-                # Bounded, also while no dispatch drains the queue.
-                memo.queued.append((key, value))
-                if len(memo.queued) > 2 * memo.max_size:
-                    del memo.queued[: memo.max_size]
             memo.data[key] = value
             while len(memo.data) > memo.max_size:
                 memo.data.popitem(last=False)
@@ -367,6 +360,14 @@ def _scan_orderings(
             row[i] = weights[step] * (current - prev)
             prev = current
     return deltas, truncated
+
+
+def _prefix_keys(order: np.ndarray) -> Iterator[tuple[int, ...]]:
+    """The memo key of each prefix of ``order``, shortest first."""
+    prefix: list[int] = []
+    for i in order.tolist():
+        insort(prefix, i)
+        yield tuple(prefix)
 
 
 def _chunk_bounds(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -519,6 +520,8 @@ class ValuationEngine:
         LRU bound of the subset memo; ``0`` disables memoization. Engines
         on a worker pool share its memo, bounded by the largest
         ``cache_size`` among them; a ``cache_size=0`` engine never shares.
+        Pool workers keep nothing beyond one chunk, so this bounds what a
+        pooled run remembers too.
     ledger:
         Optional :class:`repro.obs.RunLedger`; when set, every
         :meth:`run_permutations` call appends a ``"valuation"`` event
@@ -771,12 +774,9 @@ class ValuationEngine:
                     ],
                     count_lookups=False,
                 )
-                # A warm worker may have answered from its local cache (no
-                # new entry); the driver memo still learns every requested
-                # subset.
-                for key, value in zip(pending, chain.from_iterable(outputs)):
-                    values[key] = value
-                    self.cache.put(key, value)
+                # Every pending key is a new entry of its chunk, which the
+                # merge has put in the memo.
+                values.update(zip(pending, chain.from_iterable(outputs)))
             return np.asarray([values[key] for key in keys])
 
     # ------------------------------------------------------------------ #
@@ -1081,10 +1081,9 @@ class ValuationEngine:
     ) -> list[Any]:
         """Run chunk descriptors on ``pool`` and fold each chunk's cache
         entries and accounting into this engine; returns the chunk outputs
-        in order. Merged entries land in the pool's memo, whose first
-        inserts the pool's next dispatch carries to the other workers as
-        journal deltas. Chunks and supervision events count into this
-        engine's own :attr:`supervision`, whoever owns the pool.
+        in order. Merged entries land in the pool's memo, where later waves
+        read their known values. Chunks and supervision events count into
+        this engine's own :attr:`supervision`, whoever owns the pool.
         """
         if _obs.enabled():
             # Utilization: fraction of the configured pool this fan-out
@@ -1129,8 +1128,10 @@ class ValuationEngine:
         engine, or one on a warm pool, often holds every subset it needs,
         and answering here skips the dispatch. Each read refreshes the
         subset's recency, so a long-lived shared memo evicts the subsets no
-        wave reads, not the hot ones. A wave that misses is dispatched, and
-        its lookups are counted once, from the workers' reports.
+        wave reads, not the hot ones. A wave that misses is dispatched with
+        the memo's values of its prefixes (see :meth:`_known_values`), so
+        workers, which keep nothing between chunks, evaluate only what the
+        memo lacks. Its lookups are counted once, from the workers' reports.
         """
         if pool is None:
             return _scan_orderings(self._memo, orderings, **scan)
@@ -1139,10 +1140,16 @@ class ValuationEngine:
             return _scan_orderings(self._recall, orderings, **scan)
         except _MemoMiss:
             self.cache.hits, self.cache.misses = counts
+        known = self._known_values(orderings)
         outputs = self._dispatch(
             pool,
             [
-                {"kind": "permutation", "orderings": orderings[a:b], **scan}
+                {
+                    "kind": "permutation",
+                    "orderings": orderings[a:b],
+                    "known": known[a:b],
+                    **scan,
+                }
                 for a, b in self._chunks(len(orderings))
             ],
             count_lookups=True,
@@ -1150,15 +1157,32 @@ class ValuationEngine:
         deltas = np.concatenate([chunk for chunk, __ in outputs], axis=0)
         return deltas, sum(truncated for __, truncated in outputs)
 
+    def _known_values(self, orderings: Sequence[np.ndarray]) -> np.ndarray:
+        """Row ``p``, column ``k``: the memo's value of the first ``k + 1``
+        points of ``orderings[p]``, NaN where the memo holds none.
+
+        Read under the memo lock, without counting lookups: the workers
+        count a known value as a hit when their scan reads it.
+        """
+        known = np.full((len(orderings), self.n_train), np.nan)
+        memo = self.cache.memo
+        with memo.lock:
+            if memo.data:
+                for row, order in zip(known, orderings):
+                    row[:] = [
+                        memo.data.get(key, np.nan) for key in _prefix_keys(order)
+                    ]
+        return known
+
     def _merge_worker(
         self, new_entries: list, evals: int, counters: list, count_lookups: bool
     ) -> None:
         """Fold one worker chunk's cache entries and accounting into ours.
 
         The evaluation census is charged per subset *newly learned by the
-        driver*, not per worker-side utility call: two workers holding
-        independent caches can both evaluate the same subset in one wave,
-        and charging raw worker counts made the parallel census drift from
+        driver*, not per worker-side utility call: two chunks of one wave
+        can both evaluate a subset the memo lacked, and charging raw
+        worker counts made the parallel census drift from
         serial (the 632-vs-633 ``n_evaluations`` artifact in the old
         benchmark results). Physically duplicated work is still visible as
         the ``engine.pool.duplicate_evals`` counter. Lookup accounting is

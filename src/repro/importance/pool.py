@@ -4,9 +4,9 @@ Every parallel fan-out of
 :class:`~repro.importance.engine.ValuationEngine` runs on a
 :class:`WorkerPool`. A pool that outlives the call — owned by the engine,
 borrowed from the caller, or leased from a :class:`PoolRegistry` — pays
-process creation and the dataset publish once and keeps its workers'
-subset caches warm across waves, runs and engines: the amortized substrate
-the Datascope line of work presupposes. An engine with no such pool leases
+process creation and the dataset publish once and keeps its subset memo
+warm across waves, runs and engines: the amortized substrate the
+Datascope line of work presupposes. An engine with no such pool leases
 a call-scoped one (fork start, no warmup, no ledger) that its
 ``run_permutations`` / ``evaluate_many`` call closes on the way out.
 
@@ -14,15 +14,14 @@ a call-scoped one (fork start, no warmup, no ledger) that its
     A supervised fleet. The training and validation arrays are published
     a single time into a
     :class:`~repro.importance.shm.SharedArrayBundle`; workers rebuild the
-    utility around zero-copy read-only views and keep a process-local
-    subset cache that persists across waves, runs, and even across
-    engines sharing the pool. After creation, the driver streams only
-    small *chunk descriptors* — ordering slices, subset keys, seeds/knobs
-    — over the :class:`~repro.importance.supervision.ChunkDispatcher`
-    pipes. A crashed or hung worker is replaced by a process that
-    *re-attaches* to the shared segments instead of re-copying the
-    dataset, and the driver replays its subset-cache journal so the
-    replacement warms straight back up.
+    utility around zero-copy read-only views and keep nothing else between
+    chunks. After creation, the driver streams only small *chunk
+    descriptors* — ordering slices with the memo's values of their
+    prefixes, subset keys, seeds/knobs — over the
+    :class:`~repro.importance.supervision.ChunkDispatcher` pipes. A
+    crashed or hung worker is replaced by a process that *re-attaches* to
+    the shared segments instead of re-copying the dataset; the re-queued
+    chunk carries everything its worker needs.
 
 :class:`PoolRegistry` and :func:`valuation_pool`
     Pools keyed by utility fingerprint (dataset bytes + model + metric), so
@@ -34,15 +33,15 @@ a call-scoped one (fork start, no warmup, no ledger) that its
 
 Cache coherence: each pool owns the one driver-side subset memo of its
 dataset (:attr:`WorkerPool.memo`), which every engine fanning out on the
-pool shares. Workers report each newly evaluated subset with their chunk
-results; the driver merges them into the memo, charging the evaluation
-census only for subsets it did not hold (so the census matches serial).
-A key's first insert queues it for a monotone journal, which
-:meth:`WorkerPool.dispatch` folds in and replays to each worker via
-per-slot watermarks piggybacked on chunk descriptors, so a fan-out costs
-O(new entries). Results are merged in chunk order, so values are
-bit-identical to serial for any worker count, any start method, and any
-crash/retry history.
+pool shares, and which is the only subset cache the pool keeps. A
+permutation chunk carries the memo's value of every prefix of its
+orderings that the memo holds (NaN where it holds none); the worker
+evaluates the rest in a dict that lives for the chunk and reports each
+newly evaluated subset with its results. The driver merges them into the
+memo, charging the evaluation census only for subsets it did not hold
+(so the census matches serial). Results are merged in chunk order, so
+values are bit-identical to serial for any worker count, any start
+method, and any crash/retry history.
 
 Start methods: ``fork`` is preferred (cheap worker replacement). On
 spawn-only platforms the pool still runs — shared memory plus picklable
@@ -53,13 +52,12 @@ module).
 
 Thread safety: one pool is routinely shared across threads — the service
 runtime runs handlers concurrently and :class:`PoolRegistry` hands every
-job on a dataset fingerprint the same pool — but the dispatcher's pipes,
-per-dispatch chunk ids, and the journal's watermarks are all
-single-fan-out state. A per-pool re-entrant lock therefore serializes
-:meth:`dispatch` (and the journal fold) so concurrent fan-outs queue
-instead of consuming each other's chunk results; see ``_lock``. The memo
-has a lock of its own, so one job reads and writes it while another
-job's fan-out holds the pool lock.
+job on a dataset fingerprint the same pool — but the dispatcher's pipes
+and per-dispatch chunk ids are single-fan-out state. A per-pool
+re-entrant lock therefore serializes :meth:`dispatch` so concurrent
+fan-outs queue instead of consuming each other's chunk results; see
+``_lock``. The memo has a lock of its own, so one job reads and writes it
+while another job's fan-out holds the pool lock.
 """
 
 from __future__ import annotations
@@ -87,12 +85,6 @@ __all__ = [
     "active_map_pool",
     "utility_fingerprint",
 ]
-
-#: Journal compaction threshold: when the worker journal exceeds this, the
-#: oldest half is dropped. The journal only feeds workers their deltas, so
-#: a worker that never received the dropped entries re-evaluates them on
-#: demand; the driver's memo, and the census it decides, never read it.
-_JOURNAL_CAP = 65536
 
 #: Arrays a standard :class:`~repro.importance.utility.Utility` carries.
 _UTILITY_ARRAYS = ("x_train", "y_train", "x_valid", "y_valid")
@@ -141,22 +133,18 @@ def _rebuild_utility(state: dict) -> Any:
 
 
 def _pool_local(state: dict) -> dict:
-    """Per-worker-process mutable context, built lazily on the first task.
+    """Per-worker-process context, built lazily on the first task.
 
     ``state`` is this process's private copy (fork COW or spawn pickle),
-    so mutating it never leaks across workers or back to the driver. The
-    local subset cache persists for the worker's lifetime — the warm-pool
-    effect — and the one-shot ``meta`` records attach latency for the
-    driver's observability satellite.
+    so mutating it never leaks across workers or back to the driver. It
+    holds the utility and the one-shot ``meta`` that records attach
+    latency for the driver's observability satellite; no subset value
+    outlives the chunk that needed it.
     """
     local = state.get("_pool_local")
     if local is None:
         utility, attach_s = _rebuild_utility(state)
-        local = {
-            "utility": utility,
-            "cache": {},
-            "meta": {"attach_s": attach_s},
-        }
+        local = {"utility": utility, "meta": {"attach_s": attach_s}}
         state["_pool_local"] = local
     return local
 
@@ -169,11 +157,13 @@ def _pool_task(state: dict, payload: Mapping[str, Any]):
     carries the attach latency. Permutation and subset chunks share one
     layout, ``(kind, output, new_entries, evals, counters, meta)``; a
     permutation chunk's output is ``(deltas, truncated_scans)``.
+
+    A chunk's subset values live in a dict that dies with the chunk: a
+    permutation chunk seeds it with the ``known`` values the driver's memo
+    held for its prefixes (NaN where it held none), and every evaluation
+    adds to it, so repeats within the chunk are evaluated once.
     """
     local = _pool_local(state)
-    cache: dict = local["cache"]
-    for key, value in payload.get("cache", ()):
-        cache[tuple(key)] = value
     meta = local["meta"]
     if meta is not None:
         local["meta"] = None
@@ -185,6 +175,7 @@ def _pool_task(state: dict, payload: Mapping[str, Any]):
         return ("map", [func(item) for item in payload["items"]], meta)
 
     utility = local["utility"]
+    cache: dict = {}
     new_entries: dict = {}
     counters = [0, 0]  # hits, misses
 
@@ -200,8 +191,14 @@ def _pool_task(state: dict, payload: Mapping[str, Any]):
 
     evals_before = utility.n_evaluations
     if kind == "permutation":
-        from .engine import _scan_orderings
+        from .engine import _prefix_keys, _scan_orderings
 
+        cache.update(
+            (key, value)
+            for order, values in zip(payload["orderings"], payload["known"])
+            for key, value in zip(_prefix_keys(order), values.tolist())
+            if value == value  # NaN: the driver's memo held no value
+        )
         output: Any = _scan_orderings(
             evaluate,
             payload["orderings"],
@@ -422,11 +419,6 @@ class WorkerPool:
         self.shm_bytes = self.bundle.nbytes if self.bundle is not None else 0
         #: The dataset's driver-side subset memo, which every engine shares.
         self.memo = SubsetMemo(0, shared=True)
-        # Worker journal: the memo's first inserts, in the order dispatch
-        # folded them in; per-slot watermarks of what each worker has seen.
-        self._journal: list[tuple[tuple[int, ...], float]] = []
-        self._journal_dropped = 0
-        self._watermarks: dict[int, int] = {}
         self._workers_alive = 0
         self._spawns = 0
         self.chunks_dispatched = 0
@@ -441,7 +433,6 @@ class WorkerPool:
                 hard_timeout_s=chunk_timeout_s, floor_s=_HANG_FLOOR_S
             ),
             stats=self.supervision,
-            payload_hook=self._payload_hook,
             on_worker_start=self._on_worker_start,
         )
         setup_started = time.perf_counter()
@@ -466,41 +457,16 @@ class WorkerPool:
         self._finalizer = weakref.finalize(self, _close_pool_resources, self)
 
     # ------------------------------------------------------------------ #
-    # cache coherence                                                    #
+    # workers                                                            #
     # ------------------------------------------------------------------ #
 
-    def _payload_hook(self, slot: int, payload: Any) -> Any:
-        """Attach this worker's journal delta — and, when tracing is on,
-        the telemetry flag — to an outgoing descriptor. Spawn-mode workers
-        share no globals with the driver, so the flag on the wire copy is
-        how they learn that spans/metrics should be captured and shipped
-        back. Only the wire copy is touched; the queued payload stays
-        pristine for potential re-queues."""
-        if not isinstance(payload, dict):  # pragma: no cover - defensive
-            return payload
-        watermark = self._watermarks.get(slot, 0)
-        delta = self._journal[watermark:]
-        self._watermarks[slot] = len(self._journal)
-        extra: dict[str, Any] = {}
-        if delta:
-            extra["cache"] = delta
-        if _obs.enabled():
-            extra["telemetry"] = True
-        if not extra:
-            return payload
-        return {**payload, **extra}
-
     def _on_worker_start(self, slot: int) -> None:
-        """A process now occupies ``slot`` with an empty local cache.
-
-        Fired for first spawns and replacements alike: a replacement
-        re-attaches to the existing shared segments, so only its cache
-        warmth needs replaying — resetting the watermark to zero makes the
-        next descriptor carry the full journal.
-        """
-        self._watermarks[slot] = 0
+        """A process now occupies ``slot``: a first spawn, or a replacement
+        that re-attaches to the existing shared segments. It starts with
+        nothing to warm up: a re-queued chunk carries its known values in
+        its own payload."""
         self._spawns += 1
-        self._workers_alive = len(self._watermarks)
+        self._workers_alive = max(self._workers_alive, slot + 1)
         if _obs.enabled():
             _obs_metrics.gauge("engine.pool.workers_alive").set(
                 self._workers_alive
@@ -541,24 +507,13 @@ class WorkerPool:
         """Run chunk descriptors on the fleet; results in payload order.
 
         ``stats``, when given, also counts this fan-out's completed chunks
-        and supervision events — the borrowing engine's own tally. The
-        memo's queued first inserts join the worker journal first, so the
-        descriptors carry them to the workers. Thread-safe: concurrent
-        callers queue on the pool lock — one fan-out owns the pipes at a
-        time.
+        and supervision events — the borrowing engine's own tally.
+        Thread-safe: concurrent callers queue on the pool lock — one
+        fan-out owns the pipes at a time.
         """
         with self._lock:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
-            with self.memo.lock:
-                queued, self.memo.queued = self.memo.queued, []
-            self._journal.extend(queued)
-            if len(self._journal) > _JOURNAL_CAP:
-                drop = len(self._journal) - _JOURNAL_CAP // 2
-                del self._journal[:drop]
-                self._journal_dropped += drop
-                for slot, watermark in self._watermarks.items():
-                    self._watermarks[slot] = max(0, watermark - drop)
             self.chunks_dispatched += len(payloads)
             if _obs.enabled():
                 _obs_metrics.counter("engine.pool.chunks_dispatched").inc(
@@ -626,9 +581,6 @@ class WorkerPool:
                 "mean": float(np.mean(attach)) if attach else None,
                 "max": float(np.max(attach)) if attach else None,
             },
-            # Queued first inserts count: the next dispatch folds them in.
-            "journal_entries": len(self._journal) + len(self.memo.queued),
-            "journal_dropped": self._journal_dropped,
             "borrowers": len(self._borrower_refs),
             "supervision": self.supervision.to_dict(),
         }
@@ -671,6 +623,7 @@ class WorkerPool:
 def _close_pool_resources(pool: WorkerPool) -> None:
     """Terminate workers and unlink segments (finalizer-safe)."""
     pool._closed = True
+    pool._workers_alive = 0
     try:
         pool.dispatcher.close()
     except Exception:  # pragma: no cover - teardown best effort
@@ -726,7 +679,7 @@ class PoolRegistry:
         """An open pool for ``utility`` — warm when the dataset matches.
 
         A matching warm pool is reused even if its fleet size differs from
-        ``n_workers``: warm worker caches beat an exact fleet size.
+        ``n_workers``: a warm memo beats an exact fleet size.
         """
         workers = (
             int(n_workers) if n_workers and n_workers > 1 else self.n_workers

@@ -172,13 +172,13 @@ def _worker_main(conn, state: dict, task_fn: Callable[[dict, Any], Any]) -> None
 
     Under fork, ``state`` and ``task_fn`` arrive by inheritance (no
     pickling), so utilities may hold arbitrary closures. Messages are
-    ``(chunk_id, chunk_ord, attempt, payload)``; replies are
+    ``(chunk_id, chunk_ord, attempt, payload, telemetry)``; replies are
     ``(chunk_id, result)`` — or ``(chunk_id, result, telemetry_delta)``
     when telemetry is on, piggybacking the worker's spans and metric
     deltas on the result pipe for the driver to merge. Telemetry engages
-    when tracing was enabled at fork time or the payload carries a
-    ``"telemetry"`` flag (how spawn-mode pool workers, which share no
-    globals with the driver, learn tracing is on). Any exception inside a
+    when tracing was enabled at fork time or the message's ``telemetry``
+    flag says the driver is tracing (how spawn-mode workers, which share
+    no globals with the driver, learn tracing is on). Any exception inside a
     task is deliberately *not* caught: an exception here is a bug in
     deterministic engine code, and the resulting abnormal exit is exactly
     what the driver supervises.
@@ -200,17 +200,12 @@ def _worker_main(conn, state: dict, task_fn: Callable[[dict, Any], Any]) -> None
         if message is _SHUTDOWN:
             conn.close()
             return
-        chunk_id, chunk_ord, attempt, payload = message
+        chunk_id, chunk_ord, attempt, payload, telemetry = message
         if chaos is not None:
             # Injected worker-level faults (crash via os._exit, hang via
             # sleep) for end-to-end supervision testing.
             chaos.apply_worker_fault(chunk_ord, attempt)
-        want_telemetry = (
-            capture is not None
-            or _obs_trace.enabled()
-            or (isinstance(payload, dict) and bool(payload.get("telemetry")))
-        )
-        if not want_telemetry:
+        if not (telemetry or capture is not None or _obs_trace.enabled()):
             conn.send((chunk_id, task_fn(state, payload)))
             continue
         if capture is None:
@@ -259,19 +254,13 @@ class ChunkDispatcher:
         Optional callback ``on_event(kind, chunk_ord, attempt)`` invoked for
         every ``"crash"``/``"hang"``/``"retry"``/``"restart"`` the
         supervisor handles.
-    payload_hook:
-        Optional ``payload_hook(slot, payload) -> payload`` applied at
-        *send* time, per assignment. The queued payload stays pristine (a
-        re-queued chunk is re-hooked for whichever worker picks it up);
-        only the wire copy is transformed. The worker pool uses this to
-        piggyback per-worker subset-cache deltas onto chunk descriptors.
     on_worker_start:
         Optional ``on_worker_start(slot)`` invoked after a worker process
         (re)starts in fleet position ``slot`` — restarts included, so
-        pool-side per-worker state (cache watermarks, liveness gauges) can
-        reset exactly when the process forgets everything.
+        pool-side liveness counters and gauges see every process start.
 
-    Telemetry that workers piggyback on their replies is merged with
+    Each message tells its worker whether the driver is tracing. Telemetry
+    that workers piggyback on their replies is merged with
     :func:`repro.obs.trace.merge_worker_telemetry` in chunk-id order (a
     deterministic merge order), under the driver span open at the time; a
     merge failure is recorded on the flight recorder but never fails the
@@ -289,7 +278,6 @@ class ChunkDispatcher:
         max_worker_restarts: int = 32,
         stats: SupervisionStats | None = None,
         on_event: Callable[[str, int, int], None] | None = None,
-        payload_hook: Callable[[int, Any], Any] | None = None,
         on_worker_start: Callable[[int], None] | None = None,
     ) -> None:
         if n_workers < 1:
@@ -305,7 +293,6 @@ class ChunkDispatcher:
         # Where the current dispatch counts: ``stats`` plus the caller's.
         self._tallies: tuple[SupervisionStats, ...] = (self.stats,)
         self._on_event = on_event
-        self._payload_hook = payload_hook
         self._on_worker_start = on_worker_start
         self._telemetry_pending: dict[int, tuple[int, Any]] = {}
         self._workers: list[_Worker] = []
@@ -468,22 +455,11 @@ class ChunkDispatcher:
                 self._restart(worker, "idle crash", head[1], head[2])
                 worker = self._workers[index]
             task = pending.popleft()
-            message = task
-            if self._payload_hook is not None:
-                chunk_id, chunk_ord, attempt, payload = task
-                message = (
-                    chunk_id,
-                    chunk_ord,
-                    attempt,
-                    self._payload_hook(worker.slot, payload),
-                )
             try:
-                worker.conn.send(message)
+                worker.conn.send((*task, _obs_trace.enabled()))
             except (OSError, BrokenPipeError):
                 # Lost the liveness race: requeue and let the next pass
-                # restart the worker via the sweep. ``task`` (not the
-                # hooked wire copy) goes back so the next assignment hooks
-                # it afresh for its new worker.
+                # restart the worker via the sweep.
                 pending.appendleft(task)
                 continue
             worker.task = task

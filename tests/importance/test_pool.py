@@ -110,6 +110,7 @@ class TestWorkerPool:
         pool = WorkerPool(small_utility(), n_workers=2)
         pool.close()
         pool.close()  # idempotent
+        assert pool.stats()["workers_alive"] == 0
         with pytest.raises(RuntimeError):
             pool.dispatch([{"kind": "ping"}])
 
@@ -217,9 +218,9 @@ class TestBitIdentity:
 
 class TestWarmReuse:
     def test_second_engine_on_same_data_evaluates_nothing(self):
-        """Workers keep their subset caches across engines; the journal
-        replays what other workers learned, so a repeat run on the same
-        dataset is answered entirely from warm worker caches."""
+        """Engines leasing one registry pool share its subset memo, so a
+        repeat run on the same dataset is answered entirely from what the
+        first run taught the memo."""
         with valuation_pool(n_workers=2) as registry:
             first_u = small_utility()
             first = ValuationEngine(first_u, n_workers=2).run_permutations(
@@ -364,29 +365,42 @@ class TestSharedMemo:
             assert pool.chunks_dispatched == dispatched
         assert np.array_equal(third.values(), first.values())
 
-    def test_owned_pool_journal_holds_every_learned_subset(self):
-        """An engine-owned pool shares its memo like any other: every
-        subset the driver learned is in the worker journal, or queued for
-        it at the next dispatch."""
+    def test_owned_pool_shares_its_memo(self):
+        """An engine-owned pool shares its memo like any other: the engine
+        reads and writes the pool's memo, so a second engine borrowing the
+        pool evaluates nothing for the same seed."""
         with ValuationEngine(
             small_utility(), n_workers=2, pool=True
         ) as engine:
-            engine.run_permutations(4, seed=3)
-            journal = engine._pool.stats()["journal_entries"]
-        assert journal == len(engine.cache) > 0
+            first = engine.run_permutations(4, seed=3)
+            assert engine.cache.memo is engine._pool.memo
+            assert len(engine.cache) > 0
+            second_u = small_utility()
+            second = ValuationEngine(
+                second_u, n_workers=2, pool=engine._pool
+            ).run_permutations(4, seed=3)
+        assert second_u.n_evaluations == 0
+        assert np.array_equal(second.values(), first.values())
 
-    def test_journal_queue_stays_bounded_without_a_dispatch(self):
-        """Driver-side evaluations queue their first inserts for the
-        journal; with no dispatch to drain the queue, it keeps at most
-        twice the memo's bound."""
+    def test_zero_cache_engine_leaves_no_worker_memo(self):
+        """A ``cache_size=0`` engine memoizes nothing, and the pool's
+        workers keep nothing for it either: the same run twice charges the
+        same census, and its values equal a serial ``cache_size=0`` run."""
+        serial = ValuationEngine(small_utility(), cache_size=0).run_permutations(
+            4, seed=2, truncation_tolerance=0.02
+        )
         with WorkerPool(small_utility(), n_workers=2) as pool:
             engine = ValuationEngine(
-                small_utility(), n_workers=2, pool=pool, cache_size=4
+                small_utility(), n_workers=2, pool=pool, cache_size=0
             )
-            for i in range(30):
-                engine.evaluate([i])
-            assert len(engine.cache) == 4
-            assert 4 <= pool.stats()["journal_entries"] <= 8
+            runs = [
+                engine.run_permutations(4, seed=2, truncation_tolerance=0.02)
+                for __ in range(2)
+            ]
+        assert runs[0].n_evaluations == runs[1].n_evaluations > 0
+        for run in runs:
+            assert np.array_equal(run.values(), serial.values())
+            assert np.array_equal(run.stderr(), serial.stderr())
 
     @needs_fork
     def test_call_scoped_lease_reevaluates_nothing_the_driver_knew(self):
