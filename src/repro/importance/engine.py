@@ -81,9 +81,9 @@ which caching and sharding legitimately change.
 from __future__ import annotations
 
 import multiprocessing as mp
-import pickle
 import threading
 import time
+import traceback
 import warnings
 from bisect import insort
 from collections import OrderedDict
@@ -97,8 +97,13 @@ import numpy as np
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs
 from .checkpoint import CheckpointStore, config_fingerprint
-from .pool import PoolUnavailable, WorkerPool, active_map_pool, current_registry
-from .supervision import SupervisionStats
+from .pool import PoolUnavailable, WorkerPool, current_registry
+from .supervision import (
+    _HANG_FLOOR_S,
+    ChunkDispatcher,
+    DeadlinePolicy,
+    SupervisionStats,
+)
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
@@ -124,13 +129,13 @@ class _MemoMiss(Exception):
     """A memo-only wave scan met a subset the driver has not evaluated."""
 
 
-# A call-scoped pool forks, so its workers inherit the parent's memory and
-# utilities holding closures, frames, or fitted transformers need no
-# pickling. On platforms without fork (Windows/macOS-spawn) a registry
-# pool still runs — shared memory plus picklable chunk descriptors cross a
-# spawn boundary — and only the modes that genuinely cannot degrade to
-# serial, loudly, one RuntimeWarning per mode per process (see
-# _warn_no_fork).
+# A call-scoped pool forks, as does parallel_map's dispatcher, so their
+# workers inherit the parent's memory, and utilities or functions holding
+# closures, frames, or fitted transformers need no pickling. On platforms
+# without fork (Windows/macOS-spawn) a registry pool still runs — shared
+# memory plus picklable chunk descriptors cross a spawn boundary — and
+# only the modes that genuinely cannot degrade to serial, loudly, one
+# RuntimeWarning per mode per process (see _warn_no_fork).
 _FORK_CTX = (
     mp.get_context("fork") if "fork" in mp.get_all_start_methods() else None
 )
@@ -151,7 +156,7 @@ _NO_FORK_DETAILS = {
     ),
     "map": (
         "parallel_map fell back to a serial loop: the 'fork' start method "
-        "is unavailable and no open worker pool could run the function. "
+        "is unavailable, and its workers must inherit the function. "
         "Results are identical, only slower."
     ),
     "pool": (
@@ -1208,55 +1213,52 @@ class ValuationEngine:
 # generic fan-out                                                        #
 # ---------------------------------------------------------------------- #
 
-_MAP_STATE: tuple | None = None
-
-
-def _map_one(index: int):
-    func, items = _MAP_STATE
-    return func(items[index])
+def _map_chunk(state: dict, bounds: tuple[int, int]) -> list | Exception:
+    """``func`` over one chunk of ``items``: the results, or the exception
+    that ``func`` raised first, for the driver to re-raise."""
+    start, stop = bounds
+    try:
+        return [state["func"](item) for item in state["items"][start:stop]]
+    except Exception as exc:  # noqa: BLE001 - re-raised by parallel_map
+        # The pipe pickles the exception without its traceback; keep the
+        # worker's as a note, which the caller's traceback prints.
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), traceback.format_exc()]
+        return exc
 
 
 def parallel_map(func: Callable, items: Sequence, n_workers: int = 1) -> list:
     """``[func(x) for x in items]`` fanned out over worker processes.
 
-    Order-preserving. When a :class:`~repro.importance.pool.WorkerPool` is
-    open (e.g. inside a :func:`~repro.importance.pool.valuation_pool`
-    block) and ``func`` pickles, the map runs on that persistent fleet —
-    no per-call forking at all. Otherwise a forked fleet is created for
-    the call; because those workers are forked, ``func`` may then be a
-    closure over arbitrary state (frames, fitted models) without being
-    picklable — only the *returned* values must pickle. Falls back to a
-    serial loop when ``n_workers <= 1``, when neither a pool nor fork is
-    available (with a single ``RuntimeWarning`` per process), or for
-    trivially small inputs.
+    Order-preserving. The call forks a supervised
+    :class:`~repro.importance.supervision.ChunkDispatcher` of its own, so
+    ``func`` may be a closure over arbitrary state (frames, fitted models)
+    without being picklable — only the *returned* values must pickle. A
+    worker that dies or hangs has its chunk re-run, and a chunk that keeps
+    failing raises :class:`~repro.importance.supervision.ChunkFailure`. An
+    exception ``func`` raises reaches the caller as itself: the one from
+    the lowest-index item, as in the serial loop. Falls back to a serial
+    loop when ``n_workers <= 1``, for a single item, or where fork is
+    unavailable (with a single ``RuntimeWarning`` per process).
     """
     items = list(items)
     if n_workers <= 1 or len(items) <= 1:
         return [func(item) for item in items]
-    pool = active_map_pool()
-    if pool is not None:
-        try:
-            pickle.dumps(func)
-        except Exception:
-            # Closure over unpicklable state: the persistent fleet cannot
-            # receive it; fall through to fork-per-call (or serial).
-            pool = None
-    if pool is not None:
-        try:
-            return pool.map(func, items, n_chunks=min(n_workers, len(items)))
-        except RuntimeError:
-            # The fleet kept failing on this function (ChunkFailure: e.g. it
-            # unpickles only in the driver), or the pool closed under us (a
-            # call-scoped pool ends with its call); a per-call forked fleet
-            # inherits ``func`` directly, so fall through rather than give up.
-            pool = None
     if _FORK_CTX is None:
         _warn_no_fork("map")
         return [func(item) for item in items]
-    global _MAP_STATE
-    _MAP_STATE = (func, items)
-    try:
-        with _FORK_CTX.Pool(processes=min(n_workers, len(items))) as mp_pool:
-            return mp_pool.map(_map_one, range(len(items)))
-    finally:
-        _MAP_STATE = None
+    with ChunkDispatcher(
+        _FORK_CTX,
+        min(n_workers, len(items)),
+        {"func": func, "items": items},
+        _map_chunk,
+        deadline=DeadlinePolicy(floor_s=_HANG_FLOOR_S),
+    ) as dispatcher:
+        chunks = dispatcher.dispatch(
+            _chunk_bounds(len(items), n_workers * _CHUNKS_PER_WORKER)
+        )
+    results: list = []
+    for chunk in chunks:
+        if isinstance(chunk, Exception):
+            raise chunk
+        results.extend(chunk)
+    return results

@@ -53,11 +53,11 @@ module).
 Thread safety: one pool is routinely shared across threads — the service
 runtime runs handlers concurrently and :class:`PoolRegistry` hands every
 job on a dataset fingerprint the same pool — but the dispatcher's pipes
-and per-dispatch chunk ids are single-fan-out state. A per-pool
-re-entrant lock therefore serializes :meth:`dispatch` so concurrent
-fan-outs queue instead of consuming each other's chunk results; see
-``_lock``. The memo has a lock of its own, so one job reads and writes it
-while another job's fan-out holds the pool lock.
+and per-dispatch chunk ids are single-fan-out state. A per-pool lock
+therefore serializes :meth:`dispatch` so concurrent fan-outs queue
+instead of consuming each other's chunk results; see ``_lock``. The memo
+has a lock of its own, so one job reads and writes it while another
+job's fan-out holds the pool lock.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ import pickle
 import threading
 import time
 import weakref
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -74,7 +74,12 @@ from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs
 from .checkpoint import config_fingerprint
 from .shm import SHM_AVAILABLE, SharedArrayBundle, shareable_arrays
-from .supervision import ChunkDispatcher, DeadlinePolicy, SupervisionStats
+from .supervision import (
+    _HANG_FLOOR_S,
+    ChunkDispatcher,
+    DeadlinePolicy,
+    SupervisionStats,
+)
 
 __all__ = [
     "PoolUnavailable",
@@ -82,20 +87,11 @@ __all__ = [
     "PoolRegistry",
     "valuation_pool",
     "current_registry",
-    "active_map_pool",
     "utility_fingerprint",
 ]
 
 #: Arrays a standard :class:`~repro.importance.utility.Utility` carries.
 _UTILITY_ARRAYS = ("x_train", "y_train", "x_valid", "y_valid")
-
-#: Minimum adaptive hang deadline. A pool observes wildly heterogeneous
-#: chunk latencies — sub-millisecond warmup pings and warm-cache chunks
-#: next to multi-second cold model fits — so a short floor would flag
-#: ordinary cold chunks as hung whenever the recent window happens to be
-#: fast. Five seconds keeps genuine infinite hangs detected without ever
-#: tripping on the warm-to-cold latency cliff.
-_HANG_FLOOR_S = 5.0
 
 
 class PoolUnavailable(RuntimeError):
@@ -170,9 +166,6 @@ def _pool_task(state: dict, payload: Mapping[str, Any]):
     kind = payload["kind"]
     if kind == "ping":
         return ("ping", meta)
-    if kind == "map":
-        func = pickle.loads(payload["func"])
-        return ("map", [func(item) for item in payload["items"]], meta)
 
     utility = local["utility"]
     cache: dict = {}
@@ -301,11 +294,6 @@ def _utility_spec(utility: Any) -> dict | None:
 # the pool                                                              #
 # --------------------------------------------------------------------- #
 
-#: Open pools, newest last — :func:`active_map_pool`'s lookup order.
-_OPEN_POOLS: list["weakref.ref[WorkerPool]"] = []
-_OPEN_POOLS_LOCK = threading.Lock()
-
-
 class WorkerPool:
     """Supervised worker fleet: the engine's only parallel executor.
 
@@ -378,10 +366,9 @@ class WorkerPool:
         self._created_at = time.perf_counter()
         # Fan-outs are serialized: the dispatcher's pipes and chunk ids are
         # single-dispatch state, so concurrent borrowers (service jobs on
-        # one dataset, parallel_map from another thread) queue here rather
-        # than stealing each other's results. RLock, so a borrower's
-        # nested dispatch (map inside a fan-out callback) cannot deadlock.
-        self._lock = threading.RLock()
+        # one dataset) queue here rather than stealing each other's
+        # results, and a close waits for the fan-out in flight.
+        self._lock = threading.Lock()
         # Live borrowers (engines adopting this pool). Weak: a finished
         # job's engine falling out of scope releases its claim without an
         # explicit hand-back, letting the registry evict the pool.
@@ -452,8 +439,6 @@ class WorkerPool:
                     )
                 )
         self.setup_s = time.perf_counter() - setup_started
-        with _OPEN_POOLS_LOCK:
-            _OPEN_POOLS.append(weakref.ref(self))
         self._finalizer = weakref.finalize(self, _close_pool_resources, self)
 
     # ------------------------------------------------------------------ #
@@ -533,29 +518,6 @@ class WorkerPool:
                     _obs_metrics.histogram(
                         "engine.pool.attach_latency_s"
                     ).observe(float(meta["attach_s"]))
-
-    def map(self, func: Callable, items: Sequence, n_chunks: int) -> list:
-        """Order-preserving ``[func(x) for x in items]`` on the fleet.
-
-        ``func`` must pickle (workers are pre-existing processes, so fork
-        inheritance cannot carry a fresh closure); callers should fall
-        back to their own fan-out when it does not.
-        """
-        func_bytes = pickle.dumps(func)
-        items = list(items)
-        edges = np.linspace(
-            0, len(items), min(max(1, n_chunks), len(items)) + 1, dtype=int
-        )
-        payloads = [
-            {"kind": "map", "func": func_bytes, "items": items[a:b]}
-            for a, b in zip(edges[:-1], edges[1:])
-            if b > a
-        ]
-        results = self.dispatch(payloads)
-        out: list = []
-        for result in results:
-            out.extend(result[1])
-        return out
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                          #
@@ -773,22 +735,3 @@ class valuation_pool:
             if self.registry in _REGISTRY_STACK:
                 _REGISTRY_STACK.remove(self.registry)
         self.registry.close_all()
-
-
-def active_map_pool() -> WorkerPool | None:
-    """Newest open pool, for :func:`~repro.importance.engine.parallel_map`.
-
-    ``parallel_map`` carries no utility, so any open pool's fleet will do —
-    map chunks ship their own pickled function. Dead references are pruned
-    as a side effect.
-    """
-    with _OPEN_POOLS_LOCK:
-        alive: list[weakref.ref[WorkerPool]] = []
-        found: WorkerPool | None = None
-        for ref in _OPEN_POOLS:
-            pool = ref()
-            if pool is not None and not pool.closed:
-                alive.append(ref)
-                found = pool
-        _OPEN_POOLS[:] = alive
-        return found

@@ -1,11 +1,13 @@
 """Worker supervision for the valuation engine's chunk fan-out.
 
 Every parallel fan-out of the engine runs on a
-:class:`~repro.importance.pool.WorkerPool`, and every pool runs its chunks
-through one :class:`ChunkDispatcher`. Without supervision one crashed
-worker (a segfault in a native kernel, an OOM kill, an injected
-``os._exit``) tears down the whole valuation run, and one hung worker (a
-stuck I/O call, a pathological retraining) blocks it forever. Both failure
+:class:`~repro.importance.pool.WorkerPool`, every pool runs its chunks
+through one :class:`ChunkDispatcher`, and
+:func:`~repro.importance.engine.parallel_map` forks a dispatcher of its
+own for each call. Without supervision one crashed worker (a segfault in
+a native kernel, an OOM kill, an injected ``os._exit``) tears down the
+whole valuation run, and one hung worker (a stuck I/O call, a
+pathological retraining) blocks it forever. Both failure
 modes are routine at the scale the Identify track runs at — thousands of
 model retrainings across long-lived processes — and both are
 *recoverable*, because the engine's chunks are deterministic: every chunk
@@ -118,6 +120,15 @@ class SupervisionStats:
             "crashes": self.crashes,
             "hangs": self.hangs,
         }
+
+
+#: Minimum adaptive hang deadline of every fleet. A fleet observes wildly
+#: heterogeneous chunk latencies — sub-millisecond warmup pings and
+#: warm-cache chunks next to multi-second cold model fits — so a short
+#: floor would flag ordinary cold chunks as hung whenever the recent window
+#: happens to be fast. Five seconds keeps genuine infinite hangs detected
+#: without ever tripping on the warm-to-cold latency cliff.
+_HANG_FLOOR_S = 5.0
 
 
 class DeadlinePolicy:

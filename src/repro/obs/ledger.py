@@ -20,6 +20,7 @@ of being skipped silently.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import dataclass, field
@@ -103,8 +104,15 @@ class RunRecord:
         return cls(**data)
 
 
-def _default_run_id(kind: str, n_existing: int) -> str:
-    return f"{kind}-{n_existing:04d}-{time.time_ns() & 0xFFFFFFFF:08x}-{os.getpid()}"
+#: Sequence number of this process's default run ids.
+_RUN_SEQ = itertools.count(1)
+
+
+def _default_run_id(kind: str) -> str:
+    """A fresh run id that reads nothing from the ledger: a per-process
+    sequence number, the clock and the pid."""
+    stamp = time.time_ns() & 0xFFFFFFFF
+    return f"{kind}-{next(_RUN_SEQ):04d}-{stamp:08x}-{os.getpid()}"
 
 
 class RunLedger:
@@ -205,7 +213,7 @@ class RunLedger:
             if wall_time_s is None:
                 wall_time_s = report.total_duration()
         record = RunRecord(
-            run_id=run_id or _default_run_id("run", len(self)),
+            run_id=run_id or _default_run_id("run"),
             kind="pipeline",
             config=dict(config or {}),
             dataset={
@@ -233,7 +241,7 @@ class RunLedger:
     ) -> RunRecord:
         """Append a non-pipeline record (cleaning round, valuation, ...)."""
         record = RunRecord(
-            run_id=run_id or _default_run_id(kind, len(self)),
+            run_id=run_id or _default_run_id(kind),
             kind=kind,
             config=dict(config or {}),
             stats=dict(stats or {}),

@@ -506,19 +506,18 @@ class JobRuntime:
                     await asyncio.sleep(self.retry.delay_s(attempt))
                     attempt += 1
                     continue
-                self._finish(job, JobState.FAILED)
-                return
-            job.result = result
-            job.stop_reason = self._stop_reason(result)
-            state = (
-                JobState.DEGRADED
-                if job.stop_reason in _DEGRADED_STOP_REASONS
-                else JobState.COMPLETED
-            )
-            if state is JobState.COMPLETED and checkpoint is not None:
-                # A finished job's snapshots are dead weight; degraded
-                # jobs keep theirs so a resubmission with a larger budget
-                # resumes from the watermark.
+                state = JobState.FAILED
+            else:
+                job.result = result
+                job.stop_reason = self._stop_reason(result)
+                state = (
+                    JobState.DEGRADED
+                    if job.stop_reason in _DEGRADED_STOP_REASONS
+                    else JobState.COMPLETED
+                )
+            if checkpoint is not None:
+                # Snapshots serve only this job's retries and recovery: a
+                # resubmission gets a new job id, and so a new store.
                 checkpoint.clear()
             self._finish(job, state)
             return

@@ -8,11 +8,19 @@ retraining games, where the engine's canonical sorted-index evaluation
 order can flip low bits of the model fit).
 """
 
+import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 from itertools import chain, combinations
 
 import numpy as np
 import pytest
 
+import repro.importance.engine as engine_mod
 from repro.datasets import make_classification
 from repro.importance import (
     SubsetCache,
@@ -28,6 +36,10 @@ from repro.importance import (
     shapley_mc,
 )
 from repro.learn import LogisticRegression
+
+needs_fork = pytest.mark.skipif(
+    engine_mod._FORK_CTX is None, reason="requires a fork-capable platform"
+)
 
 # --------------------------------------------------------------------- #
 # legacy (pre-engine) serial implementations                            #
@@ -449,3 +461,108 @@ class TestParallelMap:
         state = {"offset": 10}
         func = lambda x: x + state["offset"]  # noqa: E731
         assert parallel_map(func, [1, 2, 3], n_workers=2) == [11, 12, 13]
+
+    def test_exception_from_func_reaches_caller(self):
+        def func(x):
+            if x == 3:
+                raise ValueError("bad item")
+            return x
+
+        with pytest.raises(ValueError, match="bad item"):
+            parallel_map(func, list(range(8)), n_workers=2)
+
+    def test_lowest_index_exception_wins(self):
+        def func(x):
+            if x in (2, 6):
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match="item 2"):
+            parallel_map(func, list(range(8)), n_workers=2)
+
+    @needs_fork
+    def test_concurrent_calls_return_their_own_results(self):
+        # Calls from several threads at once each fork their own fleet,
+        # which must see that call's function and items only.
+        outs: dict = {}
+
+        def run(tid: int) -> None:
+            items = list(range(tid * 100, tid * 100 + 9))
+            for rep in range(5):
+                try:
+                    outs[tid, rep] = parallel_map(
+                        lambda x: 2 * x + tid, items, n_workers=2
+                    )
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    outs[tid, rep] = exc
+
+        threads = [
+            threading.Thread(target=run, args=(tid,), daemon=True)
+            for tid in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outs) == 20
+        for (tid, __), got in outs.items():
+            assert got == [2 * x + tid for x in range(tid * 100, tid * 100 + 9)]
+
+    @needs_fork
+    def test_worker_that_dies_once_is_rerun(self, tmp_path):
+        out = _map_with_dying_worker(tmp_path / "died", "once")
+        assert json.loads(out) == [2 * x for x in range(12)]
+
+    @needs_fork
+    def test_worker_that_always_dies_raises_chunk_failure(self, tmp_path):
+        assert _map_with_dying_worker(tmp_path / "died", "always") == (
+            "ChunkFailure"
+        )
+
+
+_DYING_WORKER_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import os
+    import sys
+
+    from repro.importance import ChunkFailure, parallel_map
+
+    marker, mode = sys.argv[1], sys.argv[2]
+
+    def double(x):
+        if x == 5 and (mode == "always" or not os.path.exists(marker)):
+            open(marker, "w").close()
+            os._exit(3)
+        return 2 * x
+
+    try:
+        print(json.dumps(parallel_map(double, list(range(12)), n_workers=2)))
+    except ChunkFailure:
+        print("ChunkFailure")
+    """
+)
+
+
+def _map_with_dying_worker(marker, mode: str) -> str:
+    """Run a ``parallel_map`` whose worker ``os._exit``s on item 5 —
+    ``"once"`` or ``"always"`` — in a child interpreter in a session of its
+    own; its stdout. A hung map fails the test after 60 s, and the child's
+    whole process group (its workers included) is killed."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", _DYING_WORKER_SCRIPT, str(marker), mode],
+        env=dict(os.environ, PYTHONPATH="src"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("parallel_map hung after a worker died")
+    assert child.returncode == 0, err
+    return out.strip()

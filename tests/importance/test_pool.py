@@ -32,15 +32,10 @@ from repro.importance import (
     Utility,
     ValuationEngine,
     WorkerPool,
-    parallel_map,
     valuation_pool,
 )
 from repro.importance.checkpoint import CheckpointStore
-from repro.importance.pool import (
-    PoolRegistry,
-    active_map_pool,
-    utility_fingerprint,
-)
+from repro.importance.pool import PoolRegistry, utility_fingerprint
 from repro.importance.shm import SEGMENT_PREFIX, reap_stale_segments
 from repro.learn import LogisticRegression
 
@@ -100,11 +95,6 @@ class TestWorkerPool:
     def test_closure_utility_on_spawn_raises_pool_unavailable(self):
         with pytest.raises(PoolUnavailable):
             WorkerPool(saturating_game(), n_workers=2, start_method="spawn")
-
-    def test_map_preserves_order(self):
-        with WorkerPool(small_utility(), n_workers=2) as pool:
-            out = pool.map(_square, list(range(17)), n_chunks=4)
-            assert out == [x * x for x in range(17)]
 
     def test_dispatch_after_close_raises(self):
         pool = WorkerPool(small_utility(), n_workers=2)
@@ -322,17 +312,6 @@ class TestWarmReuse:
             engine.run_permutations(4, seed=0)
             assert engine._pool is None
 
-    def test_parallel_map_routes_through_an_active_pool(self):
-        with valuation_pool(n_workers=2) as registry:
-            registry.lease(small_utility())
-            pool = active_map_pool()
-            assert pool is not None
-            before = pool.chunks_dispatched
-            out = parallel_map(_double, list(range(9)), n_workers=2)
-            assert out == [x * 2 for x in range(9)]
-            assert pool.chunks_dispatched > before
-        assert active_map_pool() is None
-
 
 # ---------------------------------------------------------------------- #
 # the shared subset memo                                                 #
@@ -434,14 +413,6 @@ class TestSharedMemo:
         assert duplicates == 0
         serial = ValuationEngine(small_utility()).run_permutations(2, seed=8)
         assert np.array_equal(run.values(), serial.values())
-
-
-def _double(x):
-    return x * 2
-
-
-def _square(x):
-    return x * x
 
 
 # ---------------------------------------------------------------------- #
@@ -585,33 +556,6 @@ class TestThreadSafety:
             assert np.array_equal(got.stderr(), serial[tid].stderr())
         for got in [*many.values(), *points.values()]:
             assert np.array_equal(got, serial_many)
-
-    def test_concurrent_maps_preserve_per_call_order(self):
-        """parallel_map from several threads over one active pool."""
-        outs: dict[int, list] = {}
-        errors: list[Exception] = []
-        with WorkerPool(small_utility(), n_workers=2) as pool:
-
-            def run(tid: int) -> None:
-                try:
-                    items = list(range(tid * 10, tid * 10 + 13))
-                    outs[tid] = (
-                        pool.map(_square, items, n_chunks=3),
-                        [x * x for x in items],
-                    )
-                except Exception as exc:  # pragma: no cover - fail below
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=run, args=(tid,)) for tid in range(3)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        assert errors == []
-        for got, want in outs.values():
-            assert got == want
 
 
 # ---------------------------------------------------------------------- #

@@ -104,6 +104,23 @@ class TestLedger:
         with pytest.raises(KeyError):
             RunLedger(tmp_path / "runs.jsonl").get("nope")
 
+    def test_default_run_ids_never_read_the_ledger(self, tmp_path, monkeypatch):
+        ledger = RunLedger(tmp_path / "runs.jsonl")
+
+        def refuse(self):
+            raise AssertionError("an append read the ledger")
+
+        monkeypatch.setattr(RunLedger, "load", refuse)
+        records = [
+            ledger.record_event("valuation"),
+            ledger.record_event("valuation"),
+            ledger.record_run(config={"seed": 0}),
+        ]
+        monkeypatch.undo()
+        ids = [record.run_id for record in records]
+        assert len(set(ids)) == 3
+        assert [record.run_id for record in ledger.load()] == ids
+
 
 class TestLedgerHooks:
     def test_valuation_engine_records_event(self, tmp_path):

@@ -382,3 +382,42 @@ class TestChaosAndLedger:
             assert records[0].stats["state"] == "completed"
 
         run(main())
+
+
+class TestCheckpointCleanup:
+    def test_degraded_and_failed_jobs_leave_no_checkpoints(self, tmp_path):
+        checkpoint_dir = tmp_path / "ck"
+        saved: list[str] = []
+
+        def save_then_raise(params, ctx):
+            ctx.checkpoint.save({"completed": 1})
+            saved.append(ctx.checkpoint.path.name)
+            raise RuntimeError("broken after a checkpoint")
+
+        async def main():
+            runtime = JobRuntime(checkpoint_dir=checkpoint_dir)
+            register_valuation(runtime, lambda params: ValuationEngine(tanh_game()))
+            runtime.register_handler("broken", save_then_raise)
+            async with runtime:
+                degraded = runtime.submit(
+                    JobRequest(
+                        kind="valuation",
+                        params={
+                            "n_permutations": 20,
+                            "seed": 0,
+                            "check_every": 1,
+                            "max_evals": 12,
+                        },
+                    )
+                )
+                await degraded.wait()
+                failed = runtime.submit(JobRequest(kind="broken"))
+                with pytest.raises(RuntimeError, match="broken after"):
+                    await failed.wait()
+            assert degraded.state is JobState.DEGRADED
+            assert degraded.stop_reason == "eval_budget"
+            assert failed.state is JobState.FAILED
+
+        run(main())
+        assert saved  # the failed job did write a snapshot
+        assert list(checkpoint_dir.iterdir()) == []
