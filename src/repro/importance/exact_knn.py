@@ -35,7 +35,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..learn.models.knn import pairwise_distances
+from ..learn.models.knn import neighbor_order, pairwise_distances
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs
 from .engine import ValuationResult
@@ -154,8 +154,7 @@ def _fork_form_values(
         block = slice(start, start + block_size)
         distances = pairwise_distances(x_valid[block], Xc, metric=metric)
         labels = y_valid[block]
-        for t in range(distances.shape[0]):
-            order = np.argsort(distances[t], kind="stable")
+        for t, order in enumerate(neighbor_order(distances)):
             # First occurrence of each player in distance order = its
             # representative; np.unique returns first indices for free.
             present, first = np.unique(owner[order], return_index=True)

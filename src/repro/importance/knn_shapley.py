@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from ..learn.models.knn import pairwise_distances
+from ..learn.models.knn import neighbor_order, pairwise_distances
 from ..obs import trace as _obs
 from .base import ImportanceResult
 
@@ -76,6 +76,11 @@ def knn_shapley(
     validation points there are. Blocking does not change the result: each
     validation row's contribution is computed identically and accumulated
     in the same order.
+
+    Each validation row orders the training points with
+    :func:`~repro.learn.models.knn.neighbor_order`: nearest first, a
+    distance tie to the lower training index. Labels must be hashable;
+    they match exactly where ``y_train[j] == y_valid[t]`` holds.
     """
     x_train = np.asarray(x_train, dtype=float)
     y_train = np.asarray(y_train)
@@ -94,6 +99,19 @@ def knn_shapley(
     n = len(y_train)
     ranks = np.arange(1, n + 1, dtype=float)
     coeff = np.minimum(k, ranks) / (k * ranks)  # c_i for i = 1..n
+    # Integer label codes, built once: training labels equal as Python
+    # values share a code, and hit[r, c] below is numpy's `==` of code c's
+    # label against validation label r. So hit[r, codes[j]] equals
+    # `y_train[j] == y_valid[r]` for every label dtype, NaN and numpy's
+    # type promotions included.
+    first_of: dict[Any, int] = {}
+    first_index = np.fromiter(
+        (first_of.setdefault(label, j) for j, label in enumerate(y_train.tolist())),
+        dtype=np.intp,
+        count=n,
+    )
+    firsts, codes = np.unique(first_index, return_inverse=True)
+    code_labels = y_train[firsts]
     values = np.zeros(n)
     with _obs.span(
         "importance.knn_shapley",
@@ -104,20 +122,33 @@ def knn_shapley(
     ):
         for start in range(0, len(y_valid), block_size):
             block = slice(start, start + block_size)
-            distances = pairwise_distances(x_valid[block], x_train, metric=metric)
             # Vectorised recursion over the block's validation points: for each
             # row, s_i = s_{i+1} + (match_i − match_{i+1}) · c_i with
             # c_i = min(K, rank_i) / (K · rank_i), i.e. a reversed cumulative
             # sum of the weighted match differences plus the base case.
-            order = np.argsort(distances, axis=1, kind="stable")  # (block, n)
-            match = (y_train[order] == y_valid[block][:, None]).astype(float)
+            # Each (block, n) temporary is freed or reused as soon as it is
+            # spent, so a block holds at most four of them at once.
+            order = neighbor_order(
+                pairwise_distances(x_valid[block], x_train, metric=metric)
+            )
+            hit = (code_labels[None, :] == y_valid[block][:, None]).astype(float)
+            match = np.take_along_axis(hit, codes[order], axis=1)
             base = match[:, -1] / n * min(k, n) / k
-            diffs = (match[:, :-1] - match[:, 1:]) * coeff[:-1]  # term in s_i
+            diffs = match[:, :-1] - match[:, 1:]
+            diffs *= coeff[:-1]  # term in s_i
             s = np.empty_like(match)
             s[:, -1] = base
             # s_i = base + Σ_{j ≥ i} diffs_j  → reversed cumulative sum.
-            s[:, :-1] = base[:, None] + np.cumsum(diffs[:, ::-1], axis=1)[:, ::-1]
-            np.add.at(values, order, s)
+            np.cumsum(diffs[:, ::-1], axis=1, out=s[:, -2::-1])
+            del diffs
+            s[:, :-1] += base[:, None]
+            # Back to training order in match's buffer, then one row at a
+            # time: each value gets the block's terms in the order
+            # `np.add.at(values, order, s)` adds them, so the sums are
+            # bit-identical to it.
+            np.put_along_axis(match, order, s, axis=1)
+            for row in match:
+                values += row
         values /= len(y_valid)
     return ImportanceResult(
         method=f"knn_shapley(k={k})",

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..learn.models.knn import pairwise_distances
+from ..learn.models.knn import neighbor_order, pairwise_distances
 from ..text import TextEmbedder
 from .base import ImportanceResult
 from .knn_shapley import knn_shapley
@@ -62,7 +62,7 @@ class RetrievalCorpus:
         """Indices of the k nearest documents per query."""
         q = self.embedder.transform(list(queries))
         distances = pairwise_distances(q, self.embeddings_)
-        return np.argsort(distances, axis=1, kind="stable")[:, : min(k, len(self))]
+        return neighbor_order(distances, min(k, len(self)))
 
     def answer(self, queries: Sequence[str], k: int = 3) -> np.ndarray:
         """Majority answer among the retrieved documents.

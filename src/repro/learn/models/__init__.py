@@ -2,7 +2,7 @@
 
 from .baseline import MajorityClassifier, RandomClassifier
 from .forest import RandomForestClassifier
-from .knn import KNeighborsClassifier, pairwise_distances
+from .knn import KNeighborsClassifier, neighbor_order, pairwise_distances
 from .linear import LinearRegression, LinearSVC, RidgeRegression
 from .logistic import LogisticRegression, sigmoid
 from .naive_bayes import GaussianNB
@@ -13,6 +13,7 @@ __all__ = [
     "RandomForestClassifier",
     "RandomClassifier",
     "KNeighborsClassifier",
+    "neighbor_order",
     "pairwise_distances",
     "LinearRegression",
     "LinearSVC",

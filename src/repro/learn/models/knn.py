@@ -14,7 +14,7 @@ import numpy as np
 
 from ..base import Estimator, check_matrix, check_xy
 
-__all__ = ["KNeighborsClassifier", "pairwise_distances"]
+__all__ = ["KNeighborsClassifier", "neighbor_order", "pairwise_distances"]
 
 
 def _dense_distances(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
@@ -62,6 +62,47 @@ def pairwise_distances(
     return out
 
 
+def _tied_rows(ranked: np.ndarray) -> np.ndarray:
+    """Rows of an ascending matrix that hold an equal adjacent pair or a NaN."""
+    # `==` also pairs -0.0 with 0.0 and inf with inf; numpy sorts NaN last.
+    equal_pair = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+    return equal_pair | np.isnan(ranked[:, -1:]).any(axis=1)
+
+
+def neighbor_order(distances: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Column indices of each row's ``k`` nearest entries, nearest first.
+
+    The result is exactly ``np.argsort(distances, axis=1,
+    kind="stable")[:, :k]`` for every 2-D float input and ``k >= 0``
+    (``k=None`` is the full order): nearest first, ties to the lower
+    column index, NaN last. A stable sort costs several times numpy's
+    default one, so the stable sort runs only on the rows where the
+    answer can depend on it, the rows whose candidates hold an equal pair
+    or a NaN; a row of distinct values has one sorted order, which any
+    sort returns. ``tests/learn/test_neighbor_order.py`` pins the
+    equality.
+
+    - ``k == 1`` on two or more columns: ``np.argmin``, which returns the
+      first of tied minima; only rows that hold a NaN take the stable sort;
+    - every other ``k``: the default sort of the whole row, cut to ``k``;
+      rows whose sorted values hold an equal adjacent pair or end in NaN
+      take the stable sort.
+    """
+    if k is not None and k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if k == 1 and distances.shape[1] > 1:
+        order = np.argmin(distances, axis=1)[:, None]
+        stable = np.isnan(distances).any(axis=1)
+    else:
+        order = np.argsort(distances, axis=1)
+        stable = _tied_rows(np.take_along_axis(distances, order, axis=1))
+    if stable.any():
+        order[stable] = np.argsort(distances[stable], axis=1, kind="stable")[
+            :, : order.shape[1]
+        ]
+    return order[:, :k]
+
+
 class KNeighborsClassifier(Estimator):
     """Majority vote over the ``k`` nearest training points.
 
@@ -88,14 +129,29 @@ class KNeighborsClassifier(Estimator):
         self.classes_ = np.unique(y)
         return self
 
+    def _neighbor_count(self, n_neighbors: int | None, n_train: int) -> int:
+        """``n_neighbors`` (default ``self.n_neighbors``) capped at ``n_train``."""
+        if n_neighbors is None:
+            n_neighbors = self.n_neighbors
+        if n_neighbors < 1:
+            raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")
+        return min(n_neighbors, n_train)
+
     def kneighbors(self, X: Any, n_neighbors: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and training indices of each query's nearest neighbours."""
+        """Distances and training indices of each query's nearest neighbours.
+
+        Neighbours come nearest first; a distance tie goes to the lower
+        training index and NaN distances rank last. The order is
+        :func:`neighbor_order`'s, which equals a stable ``np.argsort`` of
+        each distance row (``tests/learn/test_neighbor_order.py``).
+        ``n_neighbors`` defaults to the constructor's and must be >= 1; it
+        is capped at the training-set size.
+        """
         self._require_fitted()
-        k = min(n_neighbors or self.n_neighbors, len(self.X_))
+        k = self._neighbor_count(n_neighbors, len(self.X_))
         distances = pairwise_distances(check_matrix(X), self.X_, self.metric)
-        order = np.argsort(distances, axis=1, kind="stable")[:, :k]
-        rows = np.arange(len(distances))[:, None]
-        return distances[rows, order], order
+        order = neighbor_order(distances, k)
+        return np.take_along_axis(distances, order, axis=1), order
 
     def predict_proba(self, X: Any) -> np.ndarray:
         self._require_fitted()

@@ -20,6 +20,7 @@ from typing import Any
 
 import numpy as np
 
+from ..learn.models.knn import neighbor_order
 from .intervals import Interval
 from .symbolic import UncertainDataset
 
@@ -73,7 +74,7 @@ def certain_prediction(
     d_lo, d_hi = distances.lo, distances.hi
 
     center = ((dataset.X.center - x.reshape(1, -1)) ** 2).sum(axis=1)
-    center_order = np.argsort(center, kind="stable")[: min(k, len(labels))]
+    center_order = neighbor_order(center[None, :], min(k, len(labels)))[0]
     center_votes = labels[center_order]
     values, counts = np.unique(center_votes, return_counts=True)
     center_label = values[np.argmax(counts)]

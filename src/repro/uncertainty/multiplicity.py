@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from ..learn.base import Estimator, clone
-from ..learn.models.knn import pairwise_distances
+from ..learn.models.knn import neighbor_order, pairwise_distances
 
 __all__ = [
     "knn_flip_robustness",
@@ -53,8 +53,7 @@ def knn_flip_robustness(
     k = min(k, len(y_train))
     robust = np.zeros(len(x_test), dtype=bool)
     labels = np.empty(len(x_test), dtype=y_train.dtype)
-    for t in range(len(x_test)):
-        top = np.argsort(distances[t], kind="stable")[:k]
+    for t, top in enumerate(neighbor_order(distances, k)):
         votes = y_train[top]
         values, counts = np.unique(votes, return_counts=True)
         winner_idx = int(np.argmax(counts))

@@ -22,8 +22,12 @@ from typing import Any, Iterable
 import numpy as np
 
 from ..importance.influence import _hessian, per_sample_gradients
-from ..learn.base import clone
-from ..learn.models.knn import KNeighborsClassifier
+from ..learn.base import check_matrix, clone
+from ..learn.models.knn import (
+    KNeighborsClassifier,
+    neighbor_order,
+    pairwise_distances,
+)
 from ..learn.models.logistic import LogisticRegression
 
 __all__ = ["RemovalAwareKNN", "UnlearningReport", "newton_unlearn"]
@@ -57,24 +61,11 @@ class RemovalAwareKNN(KNeighborsClassifier):
 
     def kneighbors(self, X: Any, n_neighbors: int | None = None):
         self._require_fitted()
-        from ..learn.models.knn import pairwise_distances
-        from ..learn.base import check_matrix
-
         active_idx = np.flatnonzero(self.active_)
-        k = min(n_neighbors or self.n_neighbors, len(active_idx))
+        k = self._neighbor_count(n_neighbors, len(active_idx))
         distances = pairwise_distances(check_matrix(X), self.X_[active_idx], self.metric)
-        order = np.argsort(distances, axis=1, kind="stable")[:, :k]
-        rows = np.arange(len(distances))[:, None]
-        return distances[rows, order], active_idx[order]
-
-    def predict_proba(self, X: Any) -> np.ndarray:
-        self._require_fitted()
-        __, neighbors = self.kneighbors(X)
-        votes = self.y_[neighbors]
-        probs = np.zeros((len(votes), len(self.classes_)))
-        for j, cls in enumerate(self.classes_):
-            probs[:, j] = np.mean(votes == cls, axis=1)
-        return probs
+        order = neighbor_order(distances, k)
+        return np.take_along_axis(distances, order, axis=1), active_idx[order]
 
 
 @dataclass

@@ -126,7 +126,8 @@ class TestVectorisedEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_vectorised_matches_scalar_recursion(self, seed):
         """The production (vectorised) path equals the reference scalar
-        recursion bit for bit on random instances."""
+        recursion to 1e-12 on random instances (the two associate their
+        sums differently, so the last bit can differ)."""
         from repro.importance.knn_shapley import _single_test_shapley
         from repro.learn.models.knn import pairwise_distances
 
