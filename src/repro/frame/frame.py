@@ -41,6 +41,78 @@ def _deletion_variants(text: str) -> set[str]:
     return {text} | {text[:i] + text[i + 1 :] for i in range(len(text))}
 
 
+def _indexable(left: np.dtype, right: np.dtype) -> bool:
+    """Whether numpy equality of the two key dtypes is the dict's equality:
+    integers of one signedness, or both unicode strings. Other pairings
+    (floats, bools, objects, int against float) keep the dict, where
+    ``1 == 1.0 == True``."""
+    return left.kind == right.kind and left.kind in "iuU"
+
+
+def _index_match(left_key: Column, right_key: Column, how: str):
+    """Exact-key join positions from a sorted index of the right keys.
+
+    ``np.unique`` keeps each distinct right key's first position (the
+    first match wins, as in the dict loop); each left key is found by
+    ``searchsorted`` plus an equality check. Masked keys never match.
+    """
+    present = np.flatnonzero(~right_key.mask)
+    keys, first = np.unique(right_key.values[present], return_index=True)
+    probe = left_key.values
+    match = np.full(len(probe), -1, dtype=np.int64)
+    if len(keys):
+        slot = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+        hit = ~left_key.mask & (keys[slot] == probe)
+        match[hit] = present[first[slot[hit]]]
+    lpos = np.flatnonzero(match >= 0) if how == "inner" else np.arange(len(probe))
+    return lpos, match[lpos]
+
+
+def _dict_match(left_key: Column, right_key: Column, how: str, fuzzy: bool | str):
+    """Join positions from a dict of right keys; fuzzy modes and key
+    pairings :func:`_indexable` rejects."""
+    edit_tolerant = fuzzy == "edit"
+
+    def canon(value: Any) -> Any:
+        return _normalise_key(value) if fuzzy else value
+
+    right_index: dict[Any, int] = {}
+    variant_index: dict[str, int] = {}
+    for pos in range(len(right_key)):
+        if right_key.mask[pos]:
+            continue
+        raw = right_key.values[pos]
+        key = canon(raw.item() if right_key.values.dtype.kind != "U" else str(raw))
+        if key not in right_index:  # first match wins (dimension table)
+            right_index[key] = pos
+            if edit_tolerant and isinstance(key, str):
+                for variant in _deletion_variants(key):
+                    variant_index.setdefault(variant, pos)
+
+    left_positions: list[int] = []
+    right_positions: list[int] = []
+    for pos in range(len(left_key)):
+        if left_key.mask[pos]:
+            match = -1
+        else:
+            raw = left_key.values[pos]
+            key = canon(raw.item() if left_key.values.dtype.kind != "U" else str(raw))
+            match = right_index.get(key, -1)
+            if match == -1 and edit_tolerant and isinstance(key, str):
+                for variant in _deletion_variants(key):
+                    if variant in variant_index:
+                        match = variant_index[variant]
+                        break
+        if match == -1 and how == "inner":
+            continue
+        left_positions.append(pos)
+        right_positions.append(match)
+    return (
+        np.asarray(left_positions, dtype=np.int64),
+        np.asarray(right_positions, dtype=np.int64),
+    )
+
+
 class DataFrame:
     """An ordered collection of equally-long named :class:`Column` objects.
 
@@ -296,6 +368,14 @@ class DataFrame:
         tables joined onto training data). Each output row descends from
         exactly one left row, so left row ids remain valid provenance.
 
+        A left row matches the *first* right row with an equal key, and a
+        missing key matches nothing. Exact (non-fuzzy) joins whose key
+        columns are both integers of one signedness, or both unicode
+        strings, probe a sorted numpy index of the right keys; fuzzy joins
+        and other key pairings (floats, bools, objects, int against float,
+        where ``1 == 1.0``) look keys up in a dict. Both paths return the
+        same rows.
+
         Parameters
         ----------
         on:
@@ -319,47 +399,12 @@ class DataFrame:
             raise ValueError(f"unsupported join type: {how!r}")
         if fuzzy not in (False, True, "normalize", "edit"):
             raise ValueError(f"unsupported fuzzy mode: {fuzzy!r}")
-        edit_tolerant = fuzzy == "edit"
         left_key = self.column(on)
         right_key = other.column(on)
-
-        def canon(value: Any) -> Any:
-            return _normalise_key(value) if fuzzy else value
-
-        right_index: dict[Any, int] = {}
-        variant_index: dict[str, int] = {}
-        for pos in range(other.num_rows):
-            if right_key.mask[pos]:
-                continue
-            raw = right_key.values[pos]
-            key = canon(raw.item() if right_key.values.dtype.kind != "U" else str(raw))
-            if key not in right_index:  # first match wins (dimension table)
-                right_index[key] = pos
-                if edit_tolerant and isinstance(key, str):
-                    for variant in _deletion_variants(key):
-                        variant_index.setdefault(variant, pos)
-
-        left_positions: list[int] = []
-        right_positions: list[int] = []
-        for pos in range(self.num_rows):
-            if left_key.mask[pos]:
-                match = -1
-            else:
-                raw = left_key.values[pos]
-                key = canon(raw.item() if left_key.values.dtype.kind != "U" else str(raw))
-                match = right_index.get(key, -1)
-                if match == -1 and edit_tolerant and isinstance(key, str):
-                    for variant in _deletion_variants(key):
-                        if variant in variant_index:
-                            match = variant_index[variant]
-                            break
-            if match == -1 and how == "inner":
-                continue
-            left_positions.append(pos)
-            right_positions.append(match)
-
-        lpos = np.asarray(left_positions, dtype=np.int64)
-        rpos = np.asarray(right_positions, dtype=np.int64)
+        if not fuzzy and _indexable(left_key.values.dtype, right_key.values.dtype):
+            lpos, rpos = _index_match(left_key, right_key, how)
+        else:
+            lpos, rpos = _dict_match(left_key, right_key, how, fuzzy)
 
         data: dict[str, Column] = {
             name: col.take(lpos) for name, col in self._columns.items()

@@ -44,12 +44,11 @@ from .knn_shapley import knn_shapley
 __all__ = ["exact_knn_shapley", "grouped_knn_utility"]
 
 
-def _check_groups(groups: Sequence[np.ndarray], n_train: int) -> list[np.ndarray]:
-    """Normalise and validate candidate groups: disjoint, in range."""
-    cleaned: list[np.ndarray] = []
+def _first_fault(groups: list[np.ndarray], n_train: int) -> None:
+    """Scan groups in order and raise for the first out-of-range index or
+    overlap with an earlier group; the message of whichever comes first."""
     seen = np.zeros(n_train, dtype=bool)
     for g in groups:
-        g = np.asarray(g, dtype=np.int64)
         if g.size and (g.min() < 0 or g.max() >= n_train):
             raise ValueError(
                 f"candidate group indexes rows outside the training set "
@@ -61,7 +60,30 @@ def _check_groups(groups: Sequence[np.ndarray], n_train: int) -> list[np.ndarray
                 "single variables (one owner per encoded row)"
             )
         seen[g] = True
-        cleaned.append(np.sort(g))
+
+
+def _check_groups(groups: Sequence[np.ndarray], n_train: int) -> list[np.ndarray]:
+    """Normalise and validate candidate groups: disjoint, in range.
+
+    One range check and one ``bincount`` over the concatenated groups
+    clear the valid case; only a failing input is scanned group by group,
+    to raise for its first fault. Groups come back sorted.
+    """
+    cleaned = [np.asarray(g, dtype=np.int64) for g in groups]
+    if not cleaned:
+        return cleaned
+    flat = np.concatenate(cleaned)
+    if flat.size and (
+        flat.min() < 0
+        or flat.max() >= n_train
+        or np.bincount(flat, minlength=n_train).max() > 1
+    ):
+        # A repeat inside one group is no overlap, so this may return.
+        _first_fault(cleaned, n_train)
+    owner = np.repeat(np.arange(len(cleaned)), [len(g) for g in cleaned])
+    descent = (flat[1:] < flat[:-1]) & (owner[1:] == owner[:-1])
+    for p in np.unique(owner[1:][descent]).tolist():
+        cleaned[p] = np.sort(cleaned[p])
     return cleaned
 
 

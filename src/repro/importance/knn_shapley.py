@@ -90,6 +90,8 @@ def knn_shapley(
         raise ValueError("x_train and y_train must have equal length")
     if len(x_valid) != len(y_valid):
         raise ValueError("x_valid and y_valid must have equal length")
+    if len(y_train) == 0:
+        raise ValueError("training set is empty")
     if len(y_valid) == 0:
         raise ValueError("validation set is empty")
     if k < 1:

@@ -59,7 +59,9 @@ class RetrievalCorpus:
         return len(self.documents)
 
     def retrieve(self, queries: Sequence[str], k: int = 3) -> np.ndarray:
-        """Indices of the k nearest documents per query."""
+        """Indices of the k nearest documents per query (``k >= 1``)."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         q = self.embedder.transform(list(queries))
         distances = pairwise_distances(q, self.embeddings_)
         return neighbor_order(distances, min(k, len(self)))

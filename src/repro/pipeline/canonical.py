@@ -258,14 +258,15 @@ class CanonicalPipeline:
                 f"provenance covers {len(provenance)} rows, compiled form "
                 f"{self.n_output_rows}"
             )
-        for i, row in enumerate(provenance.tuples):
-            wanted = {rid for name, rid in row if name == self.source}
-            got = {int(self.player_row_ids[self.player_of_output[i]])}
-            if wanted != got:
-                raise AssertionError(
-                    f"output row {i}: compiled polynomial covers {got}, "
-                    f"provenance reports {wanted}"
-                )
+        ids = provenance.source_ids(self.source)
+        got = self.player_row_ids[self.player_of_output]
+        bad = np.flatnonzero(((ids >= 0).sum(axis=1) != 1) | (ids.max(axis=1) != got))
+        if bad.size:
+            i = int(bad[0])
+            raise AssertionError(
+                f"output row {i}: compiled polynomial covers {{{int(got[i])}}}, "
+                f"provenance reports {set(ids[i][ids[i] >= 0].tolist())}"
+            )
         covered = np.concatenate(self.groups) if self.groups else np.empty(0, np.int64)
         if len(np.unique(covered)) != self.n_output_rows:
             raise AssertionError("groups do not partition the output rows")
@@ -276,8 +277,12 @@ class CanonicalPipeline:
         digest.update(
             ",".join(self.node_classes[k] for k in sorted(self.node_classes)).encode()
         )
-        for rid, group in zip(self.player_row_ids.tolist(), self.groups):
-            digest.update(f"|{rid}:{','.join(map(str, group.tolist()))}".encode())
+        digest.update(
+            "".join(
+                f"|{rid}:{','.join(map(str, group.tolist()))}"
+                for rid, group in zip(self.player_row_ids.tolist(), self.groups)
+            ).encode()
+        )
         return digest.hexdigest()
 
     def stats(self) -> dict[str, Any]:
@@ -337,17 +342,18 @@ def compile_pipeline(
     ) as sp:
         try:
             classes = classify_nodes(result.sink, source)
-            joins = {
-                node.id: node
-                for node in result.sink.plan.topological_order(result.sink)
-                if isinstance(node, JoinNode)
-            }
-            by_row_id: dict[int, list[int]] = {}
-            for i, row in enumerate(result.provenance.tuples):
-                rids = sorted(rid for name, rid in row if name == source)
-                if len(rids) == 0:
+            ids = result.provenance.source_ids(source)
+            counts = (ids >= 0).sum(axis=1)
+            bad = np.flatnonzero(counts != 1)
+            if bad.size:
+                i = int(bad[0])
+                if counts[i] == 0:
                     fork_node = next(
-                        (n for n in joins.values() if classes.get(n.id) == "fork"),
+                        (
+                            n
+                            for n in result.sink.plan.topological_order(result.sink)
+                            if classes.get(n.id) == "fork"
+                        ),
                         None,
                     )
                     raise CanonicalCompileError(
@@ -357,26 +363,26 @@ def compile_pipeline(
                         "row when attributing to the side table)",
                         node=fork_node,
                     )
-                if len(rids) > 1:  # pragma: no cover - caught statically
-                    raise CanonicalCompileError(
-                        f"output row {i} descends from {len(rids)} tuples of "
-                        f"{source!r}; its polynomial is a conjunction"
-                    )
-                by_row_id.setdefault(rids[0], []).append(i)
+                raise CanonicalCompileError(  # pragma: no cover - caught statically
+                    f"output row {i} descends from {int(counts[i])} tuples of "
+                    f"{source!r}; its polynomial is a conjunction"
+                )
         except CanonicalCompileError:
             if _obs.enabled():
                 _obs_metrics.counter("canonical.rejected").inc()
             raise
 
-        player_row_ids = np.asarray(sorted(by_row_id), dtype=np.int64)
-        groups = [
-            np.asarray(by_row_id[int(rid)], dtype=np.int64)
-            for rid in player_row_ids
-        ]
-        player_of_output = np.empty(len(result.provenance), dtype=np.int64)
-        for p, group in enumerate(groups):
-            player_of_output[group] = p
-        form = "fork" if any(len(g) > 1 for g in groups) else "map"
+        # Output positions grouped by source row id: one stable sort keeps
+        # each group's positions ascending.
+        row_ids = ids.max(axis=1)
+        order = np.argsort(row_ids, kind="stable")
+        player_row_ids, starts, sizes = np.unique(
+            row_ids[order], return_index=True, return_counts=True
+        )
+        groups = [order[a : a + n] for a, n in zip(starts.tolist(), sizes.tolist())]
+        player_of_output = np.empty(len(order), dtype=np.int64)
+        player_of_output[order] = np.repeat(np.arange(len(starts)), sizes)
+        form = "fork" if sizes.max() > 1 else "map"
         compiled = CanonicalPipeline(
             source=source,
             form=form,

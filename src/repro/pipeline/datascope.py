@@ -203,10 +203,10 @@ def datascope_importance(
         for value, rid in zip(encoded.values, src_ids):
             by_row_id[int(rid)] = by_row_id.get(int(rid), 0.0) + float(value)
     else:
-        for value, row in zip(encoded.values, train_result.provenance.tuples):
-            for name, rid in row:
-                if name == source:
-                    by_row_id[rid] = by_row_id.get(rid, 0.0) + float(value)
+        ids = train_result.provenance.source_ids(source)
+        rows, slots = np.nonzero(ids >= 0)
+        for i, rid in zip(rows.tolist(), ids[rows, slots].tolist()):
+            by_row_id[rid] = by_row_id.get(rid, 0.0) + float(encoded.values[i])
         if not by_row_id:
             raise ValueError(f"no output row has provenance from {source!r}")
     return SourceImportance(

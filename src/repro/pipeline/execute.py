@@ -272,7 +272,7 @@ def _run_map_guarded(
         if pos in failures:
             err_p, reason, att_p = failures[pos]
             quarantine.add(
-                node, reason, err_p, prov.tuples[pos],
+                node, reason, err_p, prov.row(pos),
                 attempts=att_p, substituted=substitute,
             )
             if substitute:
@@ -311,12 +311,30 @@ def _run_filter_guarded(
             else:
                 substitute = policy.keeps_row_on_error
                 quarantine.add(
-                    node, _reason_for(err_i), err_i, prov.tuples[pos],
+                    node, _reason_for(err_i), err_i, prov.row(pos),
                     attempts=att_i, substituted=substitute,
                 )
                 mask[pos] = bool(policy.default) if substitute else False
     positions = np.flatnonzero(mask)
     return frame.take(positions), prov.take(positions)
+
+
+def _join(
+    node: JoinNode,
+    left: tuple[DataFrame, Provenance],
+    right: tuple[DataFrame, Provenance],
+) -> tuple[DataFrame, Provenance]:
+    """Join two inputs; each output row unites both sides' source tuples."""
+    (left_frame, left_prov), (right_frame, right_prov) = left, right
+    out, lpos, rpos = left_frame.join(
+        right_frame,
+        on=node.on,
+        how=node.how,
+        suffix=node.suffix,
+        fuzzy=node.fuzzy,
+        return_indices=True,
+    )
+    return out, Provenance.join(left_prov, lpos, right_prov, rpos)
 
 
 def _run_join_guarded(
@@ -326,29 +344,7 @@ def _run_join_guarded(
     policy: ErrorPolicy,
     quarantine: Quarantine,
 ) -> tuple[DataFrame, Provenance]:
-    left_frame, left_prov = left
-    right_frame, right_prov = right
-
-    def joined_with_prov(frame: DataFrame, prov: Provenance):
-        out, lpos, rpos = frame.join(
-            right_frame,
-            on=node.on,
-            how=node.how,
-            suffix=node.suffix,
-            fuzzy=node.fuzzy,
-            return_indices=True,
-        )
-        rows = []
-        for lp, rp in zip(lpos, rpos):
-            row = prov.tuples[int(lp)]
-            if rp >= 0:
-                row = row | right_prov.tuples[int(rp)]
-            rows.append(row)
-        return out, Provenance(rows)
-
-    ok, value, error, __ = _attempt(
-        lambda: joined_with_prov(left_frame, left_prov), policy
-    )
+    ok, value, error, __ = _attempt(lambda: _join(node, left, right), policy)
     if ok:
         return value
     if policy.is_fail_fast:
@@ -357,35 +353,28 @@ def _run_join_guarded(
     # Row-wise fallback: join each left row separately so one poisonous key
     # cannot take down the rest of the batch. (A join has no sensible
     # substitute value, so substitute_default degrades to skip here.)
+    left_frame, left_prov = left
     frames: list[DataFrame] = []
-    prov_rows: list[frozenset] = []
+    provs: list[Provenance] = []
     for pos in range(left_frame.num_rows):
-        single = left_frame.take([pos])
-        single_prov = left_prov.take([pos])
+        single = (left_frame.take([pos]), left_prov.take([pos]))
         ok_i, value_i, err_i, att_i = _attempt(
-            lambda s=single, sp=single_prov: joined_with_prov(s, sp), policy
+            lambda s=single: _join(node, s, right), policy
         )
         if ok_i:
             out_i, prov_i = value_i
             if out_i.num_rows:
                 frames.append(out_i)
-                prov_rows.extend(prov_i.tuples)
+                provs.append(prov_i)
         else:
             quarantine.add(
-                node, _reason_for(err_i), err_i, left_prov.tuples[pos],
+                node, _reason_for(err_i), err_i, left_prov.row(pos),
                 attempts=att_i,
             )
     if not frames:
-        empty, lpos, rpos = left_frame.take(np.empty(0, dtype=np.int64)).join(
-            right_frame,
-            on=node.on,
-            how=node.how,
-            suffix=node.suffix,
-            fuzzy=node.fuzzy,
-            return_indices=True,
-        )
-        return empty, Provenance([])
-    return DataFrame.concat_rows(frames), Provenance(prov_rows)
+        no_rows = np.empty(0, dtype=np.int64)
+        return _join(node, (left_frame.take(no_rows), left_prov.take(no_rows)), right)
+    return DataFrame.concat_rows(frames), Provenance.concat(provs)
 
 
 def _run_node(
@@ -431,23 +420,7 @@ def _run_node(
         t0 = _monitor_clock(monitor)
         with _node_span(node, rows_in=left[0].num_rows) as sp:
             if strict:
-                left_frame, left_prov = left
-                right_frame, right_prov = right
-                joined, lpos, rpos = left_frame.join(
-                    right_frame,
-                    on=node.on,
-                    how=node.how,
-                    suffix=node.suffix,
-                    fuzzy=node.fuzzy,
-                    return_indices=True,
-                )
-                out_prov_rows = []
-                for lp, rp in zip(lpos, rpos):
-                    row = left_prov.tuples[int(lp)]
-                    if rp >= 0:
-                        row = row | right_prov.tuples[int(rp)]
-                    out_prov_rows.append(row)
-                result = (joined, Provenance(out_prov_rows))
+                result = _join(node, left, right)
             else:
                 result = _run_join_guarded(node, left, right, node_policy, quarantine)
             sp.set(rows_out=result[0].num_rows)
@@ -513,9 +486,7 @@ def _encode_guarded(
         label_mask = frame.column(sink.label_column).isnull()
         if label_mask.any():
             for pos in np.flatnonzero(label_mask):
-                quarantine.add(
-                    sink, "missing_label", None, prov.tuples[int(pos)]
-                )
+                quarantine.add(sink, "missing_label", None, prov.row(pos))
             keep = np.flatnonzero(~label_mask)
             frame, prov = frame.take(keep), prov.take(keep)
 
@@ -543,7 +514,7 @@ def _encode_guarded(
                 blocks.append(np.asarray(block, dtype=float))
             else:
                 quarantine.add(
-                    sink, _reason_for(err_i), err_i, prov.tuples[pos],
+                    sink, _reason_for(err_i), err_i, prov.row(pos),
                     attempts=att_i,
                 )
         positions = np.asarray(keep, dtype=np.int64)
@@ -560,7 +531,7 @@ def _encode_guarded(
                     sink,
                     "nonfinite",
                     ValueError("encoded feature vector contains non-finite values"),
-                    prov.tuples[int(pos)],
+                    prov.row(pos),
                 )
             keep = np.flatnonzero(~bad)
             frame, prov, X = frame.take(keep), prov.take(keep), X[keep]

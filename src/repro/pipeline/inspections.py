@@ -92,10 +92,8 @@ def join_match_rate(
     A low match rate usually means dirty join keys (typos, format drift) —
     the error family :func:`repro.errors.inject_typos` produces.
     """
-    matched = 0
-    for row in result.provenance.tuples:
-        if any(name == side_source for name, __ in row):
-            matched += 1
+    ids = result.provenance.source_ids(side_source)
+    matched = int((ids >= 0).any(axis=1).sum())
     total = len(result.provenance) or 1
     rate = matched / total
     if rate < threshold:
@@ -139,9 +137,8 @@ def train_test_overlap(
     test frame's row ids — the provenance-based leakage check ArgusEyes [72]
     runs in CI.
     """
-    train_ids = {
-        rid for row in train_result.provenance.tuples for name, rid in row if name == source
-    }
+    ids = train_result.provenance.source_ids(source)
+    train_ids = set(ids[ids >= 0].tolist())
     overlap = train_ids & {int(r) for r in test_frame.row_ids}
     if overlap:
         return [

@@ -47,6 +47,8 @@ def knn_flip_robustness(
     x_train = np.asarray(x_train, dtype=float)
     y_train = np.asarray(y_train)
     x_test = np.asarray(x_test, dtype=float)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if flip_budget < 0:
         raise ValueError("flip_budget must be non-negative")
     distances = pairwise_distances(x_test, x_train, metric=metric)

@@ -107,6 +107,13 @@ class TestRAG:
             queries, truth, k=3
         )
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_k_raises(self, corpus, k):
+        store, __ = corpus
+        for call in (store.retrieve, store.answer):
+            with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+                call(["what is the capital city of chile"], k=k)
+
     def test_without_validates(self, corpus):
         store, __ = corpus
         with pytest.raises(ValueError):

@@ -95,6 +95,11 @@ class TestSemantics:
         with pytest.raises(ValueError):
             knn_shapley(X, y, Xv, yv, k=0)
 
+    def test_empty_training_set_raises(self):
+        X, y, Xv, yv = random_task(0)
+        with pytest.raises(ValueError, match="training set is empty"):
+            knn_shapley(X[:0], y[:0], Xv, yv, k=1)
+
     @pytest.mark.parametrize("block_size", [1, 2, 5, 1000])
     def test_block_size_does_not_change_values(self, block_size):
         X, y, Xv, yv = random_task(4, n_train=20, n_valid=11)

@@ -253,6 +253,12 @@ class TestMultiplicity:
         with pytest.raises(ValueError):
             knn_flip_robustness(Xtr, ytr, Xv, flip_budget=-1)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_k_raises(self, binary_data, k):
+        Xtr, ytr, Xv, __ = binary_data
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            knn_flip_robustness(Xtr, ytr, Xv, k=k)
+
     def test_sampled_multiplicity_profile(self, binary_data):
         Xtr, ytr, Xv, yv = binary_data
         profile = sampled_multiplicity(
