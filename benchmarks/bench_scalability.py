@@ -16,11 +16,10 @@ truncation savings grow with n).
 The second experiment (T-engine) exercises the shared valuation engine's
 cost levers on the same MC-Shapley workload: process fan-out
 (``n_workers``), subset memoization (a warm cache turns repeat
-valuations into pure lookups), and the persistent shared-memory worker
-pool. Every fan-out runs on a worker pool: an engine without one leases a
-call-scoped pool that pays process creation and the dataset publish on
-every call, while a persistent pool pays them once and then streams only
-chunk descriptors.
+valuations into pure lookups), and the persistent worker pool. Every
+fan-out runs on a worker pool: an engine without one leases a call-scoped
+pool that pays process creation on every call, while a persistent pool
+pays it once and then streams only chunk descriptors.
 All engine configurations produce bit-identical values by construction —
 including the evaluation census — and only the wall-clock changes.
 
@@ -195,9 +194,9 @@ def run_engine_sweep() -> list[dict]:
     # Same engine again: every subset the permutation scan needs is cached.
     warm = _timed_run(fanned_engine, f"parallel{ENGINE_WORKERS}_warm")
 
-    # The persistent pool: processes forked and arrays published ONCE
-    # (pool_setup_s, reported separately — it amortizes over every later
-    # run), then the cold run streams only chunk descriptors.
+    # The persistent pool: processes forked ONCE (pool_setup_s, reported
+    # separately — it amortizes over every later run), then the cold run
+    # streams only chunk descriptors.
     pool_utility = _engine_task()
     setup_start = time.perf_counter()
     pool = WorkerPool(pool_utility, n_workers=ENGINE_WORKERS)
@@ -207,7 +206,6 @@ def run_engine_sweep() -> list[dict]:
         f"pool{ENGINE_WORKERS}_cold",
     )
     pool_cold["pool_setup_s"] = round(pool_setup_s, 4)
-    pool_cold["pool_mode"] = pool.mode
     # A *fresh* engine on the same warm pool: the pool's subset memo,
     # which the fresh engine shares, answers everything — the service
     # runtime's repeat-job case.
@@ -282,7 +280,6 @@ def test_engine_speedup(benchmark, write_report):
         n_permutations=ENGINE_PERMUTATIONS,
         n_workers=ENGINE_WORKERS,
         effective_cores=cores,
-        pool_mode=pool_cold["pool_mode"],
         identical_values=True,
         identical_census=True,
     )

@@ -225,9 +225,9 @@ def valuation_engine(
         engine.cache.stats()   # hits / misses / evictions / hit_rate
 
     ``pool=True`` gives the engine its own persistent
-    :class:`~repro.importance.WorkerPool` (shared-memory data plane, no
-    fork-per-run); inside a :func:`valuation_pool` block the default
-    (``pool=None``) leases a warm pool from the registry automatically.
+    :class:`~repro.importance.WorkerPool` (forked once, not per run);
+    inside a :func:`valuation_pool` block the default (``pool=None``)
+    leases a warm pool from the registry automatically.
 
     ``checkpoint=`` (a file path) makes valuation runs snapshot their
     accumulator state at wave boundaries; ``resume=True`` restores a killed
@@ -280,8 +280,8 @@ def shapley_values(
     ``cache_size`` bounds the subset-utility memo, and
     ``convergence_tolerance`` stops sampling once every point's standard
     error is below it. ``pool=`` (or an enclosing :func:`valuation_pool`
-    block) runs the fan-out on a persistent shared-memory worker pool
-    instead of forking a fleet per call.
+    block) runs the fan-out on a persistent worker pool instead of forking
+    a fleet per call.
 
     ``deadline_s``/``max_evals`` degrade gracefully: when the budget runs
     out mid-run the best current estimate comes back instead of an
@@ -333,7 +333,7 @@ def banzhaf_values(
     ``checkpoint``/``resume`` snapshot the evaluated subset utilities in
     waves, so a killed run resumes without re-paying for finished subsets.
     ``pool=`` (or an enclosing :func:`valuation_pool` block) runs subset
-    evaluation on a persistent shared-memory worker pool.
+    evaluation on a persistent worker pool.
     """
     if engine is None:
         engine = valuation_engine(
@@ -638,7 +638,7 @@ def job_runtime(
     flight recorder (``flight_dir`` — where dumps land on worker crashes
     and failed jobs). ``pool=4``
     (an int, or a :class:`PoolRegistry`) gives valuation jobs a warm
-    shared-memory worker-pool registry: sequential jobs over the same
+    worker-pool registry: sequential jobs over the same
     dataset fingerprint reuse one long-lived fleet instead of forking per
     run. When ``train_df``/``validation`` are given, a ``"valuation"``
     handler over the scenario featurisation is registered too, so::

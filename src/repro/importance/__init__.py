@@ -53,7 +53,6 @@ from .pool import (
     WorkerPool,
     valuation_pool,
 )
-from .shm import SharedArrayBundle, reap_stale_segments
 from .influence import influence_importance, per_sample_gradients, tracin_importance
 from .knn_shapley import knn_shapley, knn_shapley_brute_force, knn_utility
 from .loo import loo_importance
@@ -89,8 +88,6 @@ __all__ = [
     "PoolUnavailable",
     "WorkerPool",
     "valuation_pool",
-    "SharedArrayBundle",
-    "reap_stale_segments",
     "RetrievalCorpus",
     "rag_importance",
     "Utility",

@@ -129,41 +129,34 @@ class _MemoMiss(Exception):
     """A memo-only wave scan met a subset the driver has not evaluated."""
 
 
-# A call-scoped pool forks, as does parallel_map's dispatcher, so their
+# Every worker pool forks, as does parallel_map's dispatcher, so their
 # workers inherit the parent's memory, and utilities or functions holding
 # closures, frames, or fitted transformers need no pickling. On platforms
-# without fork (Windows/macOS-spawn) a registry pool still runs — shared
-# memory plus picklable chunk descriptors cross a spawn boundary — and
-# only the modes that genuinely cannot degrade to serial, loudly, one
-# RuntimeWarning per mode per process (see _warn_no_fork).
+# without fork (Windows/macOS-spawn) no pool can be built, and both
+# degrade to serial, loudly: one RuntimeWarning per mode per process (see
+# _warn_no_fork). WorkerPool reads this name too, so it is the one
+# definition of fork availability.
 _FORK_CTX = (
     mp.get_context("fork") if "fork" in mp.get_all_start_methods() else None
 )
 
 #: Degradation modes already warned about in this process. A set, not a
-#: bool: "your per-call fan-out went serial" and "your worker pool could
-#: not be built" are different surprises and each deserves its own (single)
+#: bool: "your engine fan-out went serial" and "your parallel_map went
+#: serial" are different surprises and each deserves its own (single)
 #: warning.
 _WARNED_NO_FORK: set[str] = set()
 
 _NO_FORK_DETAILS = {
     "engine": (
         "engine fan-out (n_workers > 1) fell back to serial execution: the "
-        "'fork' start method is unavailable and no worker pool could serve "
-        "this utility. Results are identical, only slower. A picklable "
-        "model/metric (or a valuation_pool() context) restores parallelism "
-        "via the shared-memory spawn pool."
+        "'fork' start method is unavailable, and worker pools fork so that "
+        "their workers inherit the utility. Results are identical, only "
+        "slower."
     ),
     "map": (
         "parallel_map fell back to a serial loop: the 'fork' start method "
         "is unavailable, and its workers must inherit the function. "
         "Results are identical, only slower."
-    ),
-    "pool": (
-        "a worker pool was requested but cannot serve this utility on this "
-        "platform (arrays not shareable or model/metric not picklable, and "
-        "'fork' is unavailable); falling back to per-call fan-out or serial "
-        "execution. Results are identical, only slower."
     ),
 }
 
@@ -172,7 +165,7 @@ def _warn_no_fork(mode: str = "engine") -> None:
     """One warning per degradation mode per process.
 
     Silent behavioral divergence between platforms is the failure mode this
-    guards: on spawn-only platforms the engine and :func:`parallel_map`
+    guards: without fork the engine and :func:`parallel_map`
     produce identical *values*, but the user asked for a fleet and should
     know exactly which execution mode they did not get.
     """
@@ -557,7 +550,7 @@ class ValuationEngine:
         (caller keeps ownership). ``False``: never lease from a registry.
         Without an owned, borrowed or leased pool, each
         :meth:`run_permutations` / :meth:`evaluate_many` call fans out on
-        a call-scoped pool (fork start, no warmup, no ledger) that it
+        a call-scoped pool (no warmup, no ledger) that it
         closes before returning. Whatever the kind, the engine shares the
         pool's subset memo while it fans out there (see ``cache_size``).
         Returned values are bit-identical in every mode.
@@ -905,7 +898,6 @@ class ValuationEngine:
             }
             tasks = 0 if exhausted else n_permutations - acc.scanned
             with self._fan_out(tasks) as pool:
-                pool_mode = pool.mode if pool is not None else None
                 # The resumed prefix is skipped lazily, on the first draw.
                 stream = islice(
                     self._ordering_stream(seed, antithetic), acc.scanned, None
@@ -969,7 +961,6 @@ class ValuationEngine:
                     "n_permutations": n_permutations,
                     "seed": seed,
                     "n_workers": self.n_workers,
-                    "pool_mode": pool_mode,
                     "antithetic": antithetic,
                     "truncation_tolerance": truncation_tolerance,
                     "convergence_tolerance": convergence_tolerance,
@@ -1033,8 +1024,8 @@ class ValuationEngine:
         """The pool one call's fan-outs run on; None runs the call serially.
 
         An owned, borrowed or registry-leased pool serves the call; failing
-        that, the call leases a pool of its own — fork start, no warmup
-        (chunks are numbered from 0 and no span is added), no ledger — and
+        that, the call leases a pool of its own — no warmup (chunks are
+        numbered from 0 and no span is added), no ledger — and
         closes it on the way out, or runs serially, with one warning, where
         fork is unavailable.
         """
@@ -1051,7 +1042,6 @@ class ValuationEngine:
             with WorkerPool(
                 self.utility,
                 self.n_workers,
-                start_method="fork",
                 warmup=False,
                 chunk_timeout_s=self.chunk_timeout_s,
                 chaos=self.chaos,
@@ -1073,7 +1063,7 @@ class ValuationEngine:
                 self.use_pool(registry.lease(self.utility, self.n_workers))
                 return self._pool
             except PoolUnavailable:
-                _warn_no_fork("pool")
+                # No fork: _fan_out warns once and runs the call serially.
                 self._pool_disabled = True
                 return None
         return None
@@ -1099,7 +1089,7 @@ class ValuationEngine:
             )
         results = pool.dispatch(payloads, self.supervision)
         outputs = []
-        for __, output, entries, evals, counters, __meta in results:
+        for __, output, entries, evals, counters in results:
             self._merge_worker(entries, evals, counters, count_lookups)
             outputs.append(output)
         return outputs

@@ -219,7 +219,8 @@ def exact_knn_shapley(
     groups:
         One candidate-index array per player (a player with an empty
         group — a source row the pipeline filtered out — is a null
-        player and gets exactly zero). Groups must be disjoint.
+        player and gets exactly zero). Groups must be disjoint; a row a
+        group lists twice counts once.
     k:
         KNN neighbourhood size. Any ``k`` in map form; fork form requires
         ``k = 1`` (see module docstring) and raises ``ValueError``
@@ -249,6 +250,14 @@ def exact_knn_shapley(
     groups = _check_groups(groups, len(y_train))
     m = len(groups)
     sizes = np.asarray([len(g) for g in groups], dtype=np.int64)
+    if sizes.size and sizes.max() > 1:
+        # A row a group lists twice counts once: a group is a set of rows.
+        # The groups are sorted and disjoint, so a repeat is the only way
+        # two neighbours in their concatenation can be equal.
+        flat = np.concatenate(groups)
+        if (flat[1:] == flat[:-1]).any():
+            groups = [np.unique(g) for g in groups]
+            sizes = np.asarray([len(g) for g in groups], dtype=np.int64)
     form = "fork" if sizes.size and sizes.max() > 1 else "map"
     if form == "fork" and k != 1:
         raise ValueError(

@@ -4,23 +4,22 @@ Every parallel fan-out of
 :class:`~repro.importance.engine.ValuationEngine` runs on a
 :class:`WorkerPool`. A pool that outlives the call — owned by the engine,
 borrowed from the caller, or leased from a :class:`PoolRegistry` — pays
-process creation and the dataset publish once and keeps its subset memo
-warm across waves, runs and engines: the amortized substrate the
-Datascope line of work presupposes. An engine with no such pool leases
-a call-scoped one (fork start, no warmup, no ledger) that its
-``run_permutations`` / ``evaluate_many`` call closes on the way out.
+process creation once and keeps its subset memo warm across waves, runs
+and engines: the amortized substrate the Datascope line of work
+presupposes. An engine with no such pool leases a call-scoped one (no
+warmup, no ledger) that its ``run_permutations`` / ``evaluate_many`` call
+closes on the way out.
 
 :class:`WorkerPool`
-    A supervised fleet. The training and validation arrays are published
-    a single time into a
-    :class:`~repro.importance.shm.SharedArrayBundle`; workers rebuild the
-    utility around zero-copy read-only views and keep nothing else between
-    chunks. After creation, the driver streams only small *chunk
-    descriptors* — ordering slices with the memo's values of their
-    prefixes, subset keys, seeds/knobs — over the
-    :class:`~repro.importance.supervision.ChunkDispatcher` pipes. A
-    crashed or hung worker is replaced by a process that *re-attaches* to
-    the shared segments instead of re-copying the dataset; the re-queued
+    A supervised fleet of forked workers. Each worker inherits the
+    driver's own utility object copy-on-write — dataset arrays, model,
+    metric, and whatever a subclass or closure adds — so nothing is
+    pickled or copied at start, and a worker evaluates exactly the game
+    the driver would. Workers keep nothing else between chunks. The
+    driver streams only small *chunk descriptors* — ordering slices with
+    the memo's values of their prefixes, subset keys, seeds/knobs — over
+    the :class:`~repro.importance.supervision.ChunkDispatcher` pipes. A
+    crashed or hung worker is replaced by a fresh fork; the re-queued
     chunk carries everything its worker needs.
 
 :class:`PoolRegistry` and :func:`valuation_pool`
@@ -40,15 +39,12 @@ evaluates the rest in a dict that lives for the chunk and reports each
 newly evaluated subset with its results. The driver merges them into the
 memo, charging the evaluation census only for subsets it did not hold
 (so the census matches serial). Results are merged in chunk order, so
-values are bit-identical to serial for any worker count, any start
-method, and any crash/retry history.
+values are bit-identical to serial for any worker count and any
+crash/retry history.
 
-Start methods: ``fork`` is preferred (cheap worker replacement). On
-spawn-only platforms the pool still runs — shared memory plus picklable
-chunk descriptors need no fork — provided the utility's model/metric
-pickle; otherwise pool construction raises :class:`PoolUnavailable` and
-the engine degrades loudly to serial (see ``_warn_no_fork`` in the engine
-module).
+Start method: ``fork`` only. Where the platform lacks it, pool
+construction raises :class:`PoolUnavailable` and the engine degrades
+loudly to serial (see ``_warn_no_fork`` in the engine module).
 
 Thread safety: one pool is routinely shared across threads — the service
 runtime runs handlers concurrently and :class:`PoolRegistry` hands every
@@ -73,13 +69,13 @@ import numpy as np
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs
 from .checkpoint import config_fingerprint
-from .shm import SHM_AVAILABLE, SharedArrayBundle, shareable_arrays
 from .supervision import (
     _HANG_FLOOR_S,
     ChunkDispatcher,
     DeadlinePolicy,
     SupervisionStats,
 )
+from .utility import Utility
 
 __all__ = [
     "PoolUnavailable",
@@ -95,7 +91,7 @@ _UTILITY_ARRAYS = ("x_train", "y_train", "x_valid", "y_valid")
 
 
 class PoolUnavailable(RuntimeError):
-    """A worker pool cannot run this utility on this platform."""
+    """A worker pool cannot run on this platform: it cannot fork."""
 
 
 # --------------------------------------------------------------------- #
@@ -103,71 +99,24 @@ class PoolUnavailable(RuntimeError):
 # --------------------------------------------------------------------- #
 
 
-def _rebuild_utility(state: dict) -> Any:
-    """Worker-side utility: inherited (fork mode) or rebuilt over SHM views."""
-    if state.get("utility") is not None:
-        return state["utility"], None
-    spec = state["spec"]
-    attach_started = time.perf_counter()
-    with _obs.span("worker.attach", bundle=spec["bundle"].get("name")):
-        bundle = SharedArrayBundle.attach(spec["bundle"])
-        views = bundle.arrays
-    from .utility import Utility
-
-    utility = Utility.__new__(Utility)
-    utility.model = spec["model"]
-    utility.x_train = views["x_train"]
-    utility.y_train = views["y_train"]
-    utility.x_valid = views["x_valid"]
-    utility.y_valid = views["y_valid"]
-    utility.metric = spec["metric"]
-    utility.null_score = float(spec["null_score"])
-    utility.n_evaluations = 0
-    # The bundle must outlive the views: park it on the utility.
-    utility._shm_bundle = bundle
-    return utility, time.perf_counter() - attach_started
-
-
-def _pool_local(state: dict) -> dict:
-    """Per-worker-process context, built lazily on the first task.
-
-    ``state`` is this process's private copy (fork COW or spawn pickle),
-    so mutating it never leaks across workers or back to the driver. It
-    holds the utility and the one-shot ``meta`` that records attach
-    latency for the driver's observability satellite; no subset value
-    outlives the chunk that needed it.
-    """
-    local = state.get("_pool_local")
-    if local is None:
-        utility, attach_s = _rebuild_utility(state)
-        local = {"utility": utility, "meta": {"attach_s": attach_s}}
-        state["_pool_local"] = local
-    return local
-
-
 def _pool_task(state: dict, payload: Mapping[str, Any]):
     """Execute one chunk descriptor; safe to re-execute after crash/hang.
 
-    Every result tuple carries its output at index 1 and ends with
-    ``meta`` — None except on a worker's first completed chunk, where it
-    carries the attach latency. Permutation and subset chunks share one
-    layout, ``(kind, output, new_entries, evals, counters, meta)``; a
-    permutation chunk's output is ``(deltas, truncated_scans)``.
+    ``state["utility"]`` is the driver's utility, inherited at fork. A ping
+    returns ``("ping",)``. Permutation and subset chunks share one layout,
+    ``(kind, output, new_entries, evals, counters)``; a permutation chunk's
+    output is ``(deltas, truncated_scans)``.
 
     A chunk's subset values live in a dict that dies with the chunk: a
     permutation chunk seeds it with the ``known`` values the driver's memo
     held for its prefixes (NaN where it held none), and every evaluation
     adds to it, so repeats within the chunk are evaluated once.
     """
-    local = _pool_local(state)
-    meta = local["meta"]
-    if meta is not None:
-        local["meta"] = None
     kind = payload["kind"]
     if kind == "ping":
-        return ("ping", meta)
+        return ("ping",)
 
-    utility = local["utility"]
+    utility = state["utility"]
     cache: dict = {}
     new_entries: dict = {}
     counters = [0, 0]  # hits, misses
@@ -206,7 +155,7 @@ def _pool_task(state: dict, payload: Mapping[str, Any]):
         raise ValueError(f"unknown pool task kind: {kind!r}")
     evals = utility.n_evaluations - evals_before
     _note_worker_counters(evals, counters)
-    return (kind, output, list(new_entries.items()), evals, counters, meta)
+    return (kind, output, list(new_entries.items()), evals, counters)
 
 
 def _note_worker_counters(evals: int, counters: Sequence[int]) -> None:
@@ -230,28 +179,31 @@ def _note_worker_counters(evals: int, counters: Sequence[int]) -> None:
 
 
 def utility_fingerprint(utility: Any) -> str:
-    """Stable identity of the (dataset, model, metric) a pool serves.
+    """Stable identity of the game a pool serves.
 
-    Standard utilities hash their arrays, pickled model prototype, metric
-    qualname, and null score — two independently constructed utilities
-    over the same data share a pool. Anything unhashable falls back to
-    object identity: correct, never shared. Memoized on the utility (its
-    arrays are immutable by the engine's contract), so warm-pool leases
-    pay the hash once.
+    A plain :class:`~repro.importance.utility.Utility` hashes its arrays,
+    pickled model prototype, pickled metric and null score, so two
+    independently constructed utilities over the same data share a pool.
+    Anything else falls back to object identity — correct, never shared: a
+    subclass may change ``evaluate``, and a closure or lambda metric does
+    not pickle, so the state it captures cannot be compared. Memoized on
+    the utility (its arrays are immutable by the engine's contract), so
+    warm-pool leases pay the hash once.
     """
     cached = getattr(utility, "_pool_fingerprint", None)
     if cached is not None:
         return cached
+    if type(utility) is not Utility:
+        return f"id:{id(utility)}"
     try:
         payload = {
             key: np.ascontiguousarray(getattr(utility, key))
             for key in _UTILITY_ARRAYS
         }
-        payload["model"] = config_fingerprint(
-            {"pickle": pickle.dumps(utility.model).hex()}
-        )
-        metric = getattr(utility, "metric", None)
-        payload["metric"] = getattr(metric, "__qualname__", repr(metric))
+        for key in ("model", "metric"):
+            payload[key] = config_fingerprint(
+                {"pickle": pickle.dumps(getattr(utility, key)).hex()}
+            )
         payload["null_score"] = float(utility.null_score)
         fingerprint = config_fingerprint(payload)
     except Exception:
@@ -263,101 +215,64 @@ def utility_fingerprint(utility: Any) -> str:
     return fingerprint
 
 
-def _utility_spec(utility: Any) -> dict | None:
-    """Picklable rebuild recipe for a standard utility, or None.
-
-    Requires the four dataset arrays to be shareable (fixed-itemsize numpy)
-    and the model/metric/chaos-free remainder to pickle. Non-standard
-    utilities (closures over arbitrary state) return None and ride on fork
-    inheritance instead.
-    """
-    if not all(hasattr(utility, key) for key in _UTILITY_ARRAYS):
-        return None
-    if not hasattr(utility, "model") or not hasattr(utility, "metric"):
-        return None
-    arrays = {key: getattr(utility, key) for key in _UTILITY_ARRAYS}
-    if not shareable_arrays(arrays):
-        return None
-    try:
-        small = {
-            "model": utility.model,
-            "metric": utility.metric,
-            "null_score": float(utility.null_score),
-        }
-        pickle.dumps(small)
-    except Exception:
-        return None
-    return {"arrays": arrays, **small}
-
-
 # --------------------------------------------------------------------- #
 # the pool                                                              #
 # --------------------------------------------------------------------- #
 
 class WorkerPool:
-    """Supervised worker fleet: the engine's only parallel executor.
+    """Supervised fleet of forked workers: the engine's only parallel executor.
 
     Long-lived (owned, borrowed or registry-leased) or scoped to one engine
-    call, with a shared-memory data plane.
+    call. Raises :class:`PoolUnavailable` where the platform cannot fork.
 
     Parameters
     ----------
     utility:
-        The utility game workers will evaluate. Standard utilities (the
-        four dataset arrays + picklable model/metric) are published into
-        shared memory and rebuilt in each worker; anything else requires a
-        fork-capable platform (workers inherit the object).
+        The utility game workers will evaluate. Workers inherit this very
+        object at fork, so it is never pickled: closures, subclasses and
+        unpicklable models run in workers exactly as in the driver.
     n_workers:
         Fleet size (>= 1).
-    start_method:
-        ``"fork"``, ``"spawn"``, or None for the platform preference
-        (fork where available).
     warmup:
         Dispatch one ping per worker at construction, inside an
-        ``engine.pool.lifecycle`` span, so processes start, attach to the
-        segments, and report attach latency before the first real chunk
-        arrives. Setup cost is paid here, once, instead of inside the
-        first valuation call. Without warmup, workers start on the first
-        dispatch and chunks are numbered from 0 by real work alone.
+        ``engine.pool.lifecycle`` span, so processes start before the first
+        real chunk arrives. Setup cost is paid here, once, instead of
+        inside the first valuation call. Without warmup, workers start on
+        the first dispatch and chunks are numbered from 0 by real work
+        alone.
     ledger:
         Optional :class:`repro.obs.RunLedger`; the pool appends a
-        ``"pool"`` lifecycle event at close (workers, chunks, shm bytes,
-        restarts).
+        ``"pool"`` lifecycle event at close (workers, chunks, restarts).
     chunk_timeout_s:
         Hard per-chunk deadline for hang detection. Default None: the
         deadline adapts to 8× the p95 of recent chunk latencies, floored
         at 5 s. A chunk is retried at most 3 times, and workers restart
         at most 32 times over the pool's lifetime.
     chaos:
-        Optional ChaosMonkey forwarded into workers (fork mode, or spawn
-        when picklable) for fault-injection tests.
+        Optional ChaosMonkey that workers inherit, for fault-injection
+        tests.
     """
 
     def __init__(
         self,
         utility: Any,
         n_workers: int,
-        start_method: str | None = None,
         warmup: bool = True,
         ledger: Any | None = None,
         chunk_timeout_s: float | None = None,
         chaos: Any | None = None,
     ) -> None:
-        import multiprocessing as mp
-
-        from .engine import SubsetMemo  # imported late: engine imports us
+        # Imported late, as engine imports us; reading _FORK_CTX here keeps
+        # one definition of fork availability for pools and the engine.
+        from .engine import _FORK_CTX, SubsetMemo
 
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        available = mp.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in available else "spawn"
-        if start_method not in available:
+        if _FORK_CTX is None:
             raise PoolUnavailable(
-                f"start method {start_method!r} unavailable on this platform"
+                "the 'fork' start method is unavailable on this platform"
             )
         self.n_workers = int(n_workers)
-        self.start_method = start_method
         self.ledger = ledger
         self.utility = utility
         self.fingerprint = utility_fingerprint(utility)
@@ -373,48 +288,16 @@ class WorkerPool:
         # job's engine falling out of scope releases its claim without an
         # explicit hand-back, letting the registry evict the pool.
         self._borrower_refs: "weakref.WeakSet[Any]" = weakref.WeakSet()
-
-        spec = _utility_spec(utility)
-        self.bundle: SharedArrayBundle | None = None
-        if spec is not None and SHM_AVAILABLE:
-            self.bundle = SharedArrayBundle.create(spec.pop("arrays"))
-            state: dict = {
-                "spec": {"bundle": self.bundle.spec(), **spec},
-                "utility": None,
-            }
-            self.mode = f"shm-{start_method}"
-        elif start_method == "fork":
-            # Closure utilities ride on fork inheritance; still long-lived.
-            state = {"spec": None, "utility": utility}
-            self.mode = "fork"
-        else:
-            raise PoolUnavailable(
-                "utility cannot cross a spawn boundary (arrays not "
-                "shareable or model/metric not picklable) and fork is "
-                "unavailable"
-            )
-        if chaos is not None:
-            if start_method == "fork":
-                state["chaos"] = chaos
-            else:
-                try:
-                    pickle.dumps(chaos)
-                    state["chaos"] = chaos
-                except Exception:
-                    state["chaos"] = None
-
-        self.shm_bytes = self.bundle.nbytes if self.bundle is not None else 0
         #: The dataset's driver-side subset memo, which every engine shares.
         self.memo = SubsetMemo(0, shared=True)
         self._workers_alive = 0
         self._spawns = 0
         self.chunks_dispatched = 0
-        self.attach_latencies: list[float] = []
 
         self.dispatcher = ChunkDispatcher(
-            mp.get_context(start_method),
+            _FORK_CTX,
             self.n_workers,
-            state,
+            {"utility": utility, "chaos": chaos},
             _pool_task,
             deadline=DeadlinePolicy(
                 hard_timeout_s=chunk_timeout_s, floor_s=_HANG_FLOOR_S
@@ -429,14 +312,10 @@ class WorkerPool:
             with _obs.span(
                 "engine.pool.lifecycle",
                 n_workers=self.n_workers,
-                mode=self.mode,
-                shm_bytes=self.shm_bytes,
                 fingerprint=self.fingerprint,
             ):
-                self._collect_meta(
-                    self.dispatcher.dispatch(
-                        [{"kind": "ping"} for __ in range(self.n_workers)]
-                    )
+                self.dispatcher.dispatch(
+                    [{"kind": "ping"} for __ in range(self.n_workers)]
                 )
         self.setup_s = time.perf_counter() - setup_started
         self._finalizer = weakref.finalize(self, _close_pool_resources, self)
@@ -446,10 +325,9 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
 
     def _on_worker_start(self, slot: int) -> None:
-        """A process now occupies ``slot``: a first spawn, or a replacement
-        that re-attaches to the existing shared segments. It starts with
-        nothing to warm up: a re-queued chunk carries its known values in
-        its own payload."""
+        """A process now occupies ``slot``: a first fork, or a replacement.
+        It starts with nothing to warm up: a re-queued chunk carries its
+        known values in its own payload."""
         self._spawns += 1
         self._workers_alive = max(self._workers_alive, slot + 1)
         if _obs.enabled():
@@ -504,20 +382,7 @@ class WorkerPool:
                 _obs_metrics.counter("engine.pool.chunks_dispatched").inc(
                     len(payloads)
                 )
-            results = self.dispatcher.dispatch(list(payloads), stats)
-            self._collect_meta(results)
-            return results
-
-    def _collect_meta(self, results: Sequence[Any]) -> None:
-        """Harvest first-chunk worker meta (attach latency) from results."""
-        for result in results:
-            meta = result[-1]
-            if meta is not None and meta.get("attach_s") is not None:
-                self.attach_latencies.append(float(meta["attach_s"]))
-                if _obs.enabled():
-                    _obs_metrics.histogram(
-                        "engine.pool.attach_latency_s"
-                    ).observe(float(meta["attach_s"]))
+            return self.dispatcher.dispatch(list(payloads), stats)
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                          #
@@ -528,27 +393,19 @@ class WorkerPool:
         return self._closed
 
     def stats(self) -> dict:
-        attach = self.attach_latencies
         return {
-            "mode": self.mode,
             "n_workers": self.n_workers,
             "workers_alive": self._workers_alive,
             "worker_starts": self._spawns,
             "chunks_dispatched": self.chunks_dispatched,
             "chunks_requeued": self.supervision.chunk_retries,
-            "shm_bytes": self.shm_bytes,
             "setup_s": round(self.setup_s, 6),
-            "attach_latency_s": {
-                "count": len(attach),
-                "mean": float(np.mean(attach)) if attach else None,
-                "max": float(np.max(attach)) if attach else None,
-            },
             "borrowers": len(self._borrower_refs),
             "supervision": self.supervision.to_dict(),
         }
 
     def close(self) -> None:
-        """Shut workers down and unlink the shared segments. Idempotent.
+        """Shut workers down. Idempotent.
 
         Serializes with :meth:`dispatch`: a close racing an in-flight
         fan-out waits for it to drain instead of terminating workers
@@ -568,7 +425,6 @@ class WorkerPool:
                 "pool",
                 config={
                     "n_workers": self.n_workers,
-                    "mode": self.mode,
                     "fingerprint": self.fingerprint,
                 },
                 stats=stats,
@@ -583,15 +439,13 @@ class WorkerPool:
 
 
 def _close_pool_resources(pool: WorkerPool) -> None:
-    """Terminate workers and unlink segments (finalizer-safe)."""
+    """Terminate workers (finalizer-safe)."""
     pool._closed = True
     pool._workers_alive = 0
     try:
         pool.dispatcher.close()
     except Exception:  # pragma: no cover - teardown best effort
         pass
-    if pool.bundle is not None:
-        pool.bundle.close()
 
 
 # --------------------------------------------------------------------- #
@@ -621,14 +475,12 @@ class PoolRegistry:
         self,
         n_workers: int = 4,
         max_pools: int = 2,
-        start_method: str | None = None,
         ledger: Any | None = None,
     ) -> None:
         if max_pools < 1:
             raise ValueError("max_pools must be >= 1")
         self.n_workers = int(n_workers)
         self.max_pools = int(max_pools)
-        self.start_method = start_method
         self.ledger = ledger
         self._pools: dict[str, WorkerPool] = {}
         self._lock = threading.Lock()
@@ -654,12 +506,7 @@ class PoolRegistry:
                 self.reuses += 1
                 self._pools[fingerprint] = self._pools.pop(fingerprint)  # LRU
                 return pool
-            pool = WorkerPool(
-                utility,
-                n_workers=workers,
-                start_method=self.start_method,
-                ledger=self.ledger,
-            )
+            pool = WorkerPool(utility, n_workers=workers, ledger=self.ledger)
             self._pools[fingerprint] = pool
             if len(self._pools) > self.max_pools:
                 # Evict oldest-first, but never a pool with live
@@ -718,7 +565,7 @@ class valuation_pool:
             banz = nde.banzhaf_values(train_df, validation=valid_df,
                                       n_workers=4)   # reuses the warm pool
 
-    Exiting closes every registry-owned pool and unlinks their segments.
+    Exiting closes every registry-owned pool.
     Usable directly as ``valuation_pool(...)`` or via the ``nde`` facade.
     """
 

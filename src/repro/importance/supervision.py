@@ -188,8 +188,8 @@ def _worker_main(conn, state: dict, task_fn: Callable[[dict, Any], Any]) -> None
     when telemetry is on, piggybacking the worker's spans and metric
     deltas on the result pipe for the driver to merge. Telemetry engages
     when tracing was enabled at fork time or the message's ``telemetry``
-    flag says the driver is tracing (how spawn-mode workers, which share
-    no globals with the driver, learn tracing is on). Any exception inside a
+    flag says the driver is tracing now (how a warm pool forked before
+    tracing was turned on learns that it is). Any exception inside a
     task is deliberately *not* caught: an exception here is a bug in
     deterministic engine code, and the resulting abnormal exit is exactly
     what the driver supervises.
@@ -244,14 +244,15 @@ class ChunkDispatcher:
     Parameters
     ----------
     ctx:
-        A :mod:`multiprocessing` context; fork lets ``state`` hold
-        closures, spawn requires it (and ``task_fn``) to pickle.
+        A :mod:`multiprocessing` context. Callers pass the fork context, so
+        ``state`` and ``task_fn`` reach workers by inheritance and may hold
+        closures.
     n_workers:
         Size of the worker fleet.
     state:
-        Read-only state every worker receives at start (a pool's utility
-        or its shared-memory rebuild recipe, plus an optional ``"chaos"``
-        monkey). A *restarted* worker receives it afresh.
+        Read-only state every worker inherits at start (a pool's utility
+        plus an optional ``"chaos"`` monkey). A *restarted* worker
+        inherits it afresh.
     task_fn:
         ``task_fn(state, payload) -> result``; must be safe to re-execute.
     deadline:

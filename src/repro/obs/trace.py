@@ -19,9 +19,9 @@ no overhead when disabled
 thread- and fork-safety, with worker backhaul
     Completed spans are appended under a lock; the *active* span stack is
     ``threading.local`` so concurrent threads build disjoint subtrees.
-    Fork/spawn worker fleets (the :class:`~repro.importance.engine.
-    ValuationEngine` fan-out and the persistent pool) inherit or rebuild
-    the recorder; the first recording in a forked child detects the PID
+    Forked worker fleets (the :class:`~repro.importance.engine.
+    ValuationEngine`'s worker pools and :func:`parallel_map`) inherit the
+    recorder; the first recording in a forked child detects the PID
     change and starts a fresh buffer so parent spans are never duplicated.
     Child spans are **not** lost: workers wrap each chunk in a
     :class:`WorkerTelemetry` capture whose :meth:`~WorkerTelemetry.collect`
@@ -81,7 +81,7 @@ TRACE_SCHEMA_VERSION = 2
 _ENABLED = False
 
 #: True while a :class:`WorkerTelemetry` capture is live in this process —
-#: i.e. spans recorded after a fork/spawn have a path back to the driver.
+#: i.e. spans recorded after a fork have a path back to the driver.
 #: Gates the fork-drop warning in :meth:`TraceRecorder.start_span`.
 _BACKHAUL_ACTIVE = False
 

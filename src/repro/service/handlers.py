@@ -75,8 +75,8 @@ def make_valuation_handler(
             and getattr(engine, "_pool", None) is None
         ):
             # Sequential jobs over the same dataset fingerprint land on
-            # one warm shared-memory fleet instead of forking per run.
-            # An unpoolable utility just keeps the per-run fan-out.
+            # one warm fleet instead of forking per run. Without fork no
+            # pool can be built, and the engine warns and runs serially.
             try:
                 engine.use_pool(
                     registry.lease(engine.utility, engine.n_workers)

@@ -100,7 +100,7 @@ class JobContext:
         self.checkpoint = checkpoint
         self.resume = resume
         #: The runtime's warm-pool registry (or None). The valuation
-        #: handler leases a shared-memory worker pool from it, so
+        #: handler leases a warm worker pool from it, so
         #: sequential jobs over the same dataset fingerprint reuse one
         #: warm fleet instead of forking per run.
         self.pool_registry = runtime.pool_registry
@@ -151,8 +151,8 @@ class JobRuntime:
         :class:`~repro.importance.pool.PoolRegistry` with that fleet size;
         a registry is used as-is; ``None`` disables pooling (per-run
         fork fan-out). Pools are keyed by dataset fingerprint, so
-        sequential jobs over the same data share one long-lived
-        shared-memory fleet; :meth:`stop` closes every runtime-owned pool.
+        sequential jobs over the same data share one long-lived fleet;
+        :meth:`stop` closes every runtime-owned pool.
     chaos:
         Optional :class:`repro.errors.chaos.ChaosMonkey`; its seeded
         job-level faults (mid-job crash, slow tenant) fire inside handler
@@ -283,9 +283,8 @@ class JobRuntime:
             await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
         if self._owns_pools and self.pool_registry is not None:
-            # Runtime-owned worker fleets die with the service; shared
-            # segments are unlinked here. A later start() re-leases fresh
-            # pools on demand.
+            # Runtime-owned worker fleets die with the service. A later
+            # start() re-leases fresh pools on demand.
             self.pool_registry.close_all()
 
     async def drain(self) -> None:

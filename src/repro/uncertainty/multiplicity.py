@@ -51,6 +51,8 @@ def knn_flip_robustness(
         raise ValueError(f"k must be >= 1, got {k}")
     if flip_budget < 0:
         raise ValueError("flip_budget must be non-negative")
+    if len(y_train) == 0:
+        raise ValueError("training set is empty")
     distances = pairwise_distances(x_test, x_train, metric=metric)
     k = min(k, len(y_train))
     robust = np.zeros(len(x_test), dtype=bool)

@@ -3,7 +3,7 @@
 The tentpole contract: a parallel valuation under ``tracing()`` yields ONE
 merged trace — driver spans plus every worker's spans, chunk spans parented
 under per-worker ``worker[i]`` groups — while values stay bit-identical to
-serial, whatever the transport (fork pipes or shm-spawn pool). Crashes
+serial, whether workers are forked per call or by a warm pool. Crashes
 leave a flight dump naming the in-flight chunk and the worker's last
 shipped spans; forked processes that record spans with no backhaul say so
 instead of dropping them silently.
@@ -243,21 +243,20 @@ class TestForkBackhaul:
 
 
 # ---------------------------------------------------------------------- #
-# shm pool end-to-end (fork and spawn transports)                        #
+# warm pool end-to-end                                                   #
 # ---------------------------------------------------------------------- #
 
 
 class TestPoolBackhaul:
     @pytest.mark.parametrize(
-        "start_method",
+        "transport",
         [
             pytest.param("fork", marks=needs_fork),
-            "spawn",
         ],
     )
-    def test_pooled_run_backhauls_spans_bit_identically(self, start_method):
+    def test_pooled_run_backhauls_spans_bit_identically(self, transport):
         serial = ValuationEngine(small_utility()).run_permutations(8, seed=5)
-        with valuation_pool(n_workers=2, start_method=start_method):
+        with valuation_pool(n_workers=2):
             engine = ValuationEngine(small_utility(), n_workers=2)
             obs_trace.enable()
             run = engine.run_permutations(8, seed=5)
@@ -267,7 +266,7 @@ class TestPoolBackhaul:
         assert np.array_equal(run.values(), serial.values())
         assert np.array_equal(run.stderr(), serial.stderr())
         chunks = chunk_spans(spans)
-        assert chunks, f"no worker.chunk spans over {start_method} transport"
+        assert chunks, f"no worker.chunk spans over {transport} transport"
         group_ids = {g.span_id for g in worker_groups(spans)}
         assert all(c.parent_id in group_ids for c in chunks)
         snap = obs_metrics.snapshot()

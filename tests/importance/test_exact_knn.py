@@ -122,6 +122,18 @@ class TestDifferentialAgainstBruteForce:
         with pytest.raises(ValueError, match="outside"):
             exact_knn_shapley(x, y, xv, yv, [np.array([0, 9])], k=1)
 
+    def test_repeated_row_counts_once(self):
+        """A group that lists a row twice plays the game of the group that
+        lists it once: map form, equal values and census at any k."""
+        x, y, xv, yv = make_game(4, seed=0)
+        repeated = [np.array([2, 2]), np.array([1])]
+        single = [np.array([2]), np.array([1])]
+        for k in (1, 3):
+            got = exact_knn_shapley(x, y, xv, yv, repeated, k=k)
+            want = exact_knn_shapley(x, y, xv, yv, single, k=k)
+            assert got.census == {**want.census, "form": "map"}
+            assert np.array_equal(got.values, want.values)
+
 
 # ---------------------------------------------------------------------------
 # End-to-end through the compiler, one test per canonical pipeline shape.

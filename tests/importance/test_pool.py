@@ -1,13 +1,14 @@
 """Persistent worker pool: bit-identity, warm reuse, recovery, metrics.
 
 The tentpole contract: an engine running on a :class:`WorkerPool` —
-whatever the start method, worker count, crash history, or how many
+whatever the utility's class, worker count, crash history, or how many
 engines shared the pool before it — returns values, standard errors, and
 an evaluation census bit-identical to a serial run. The satellites pin
-the rest: warm leases skip re-evaluation, a SIGKILLed worker re-attaches
-to the shared segments instead of re-copying the dataset, checkpoints
-survive pool teardown/recreate (including a ``kill -9`` of the whole
-driver), and the pool's lifecycle is visible in metrics and the ledger.
+the rest: warm leases skip re-evaluation, the registry shares a pool only
+between equal games, a SIGKILLed worker is replaced by a fresh fork,
+checkpoints survive pool teardown/recreate (including a ``kill -9`` of the
+whole driver), a platform without fork gets ``PoolUnavailable`` and a
+serial run, and the pool's lifecycle is visible in metrics and the ledger.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 import textwrap
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +38,6 @@ from repro.importance import (
 )
 from repro.importance.checkpoint import CheckpointStore
 from repro.importance.pool import PoolRegistry, utility_fingerprint
-from repro.importance.shm import SEGMENT_PREFIX, reap_stale_segments
 from repro.learn import LogisticRegression
 
 needs_fork = pytest.mark.skipif(
@@ -45,7 +46,7 @@ needs_fork = pytest.mark.skipif(
 
 
 def small_utility(seed: int = 11) -> Utility:
-    """A standard (array-backed, picklable) utility — shared-memory able."""
+    """A standard (array-backed, picklable) utility."""
     X, y = make_classification(n=48, n_features=3, seed=seed)
     return Utility(
         LogisticRegression(max_iter=20), X[:36], y[:36], X[36:], y[36:]
@@ -64,6 +65,40 @@ def saturating_game(n: int = 10, seed: int = 3) -> SubsetUtility:
     return SubsetUtility(func, n)
 
 
+class ShiftedUtility(Utility):
+    """A subclass that plays another game: each point adds 0.5."""
+
+    def evaluate(self, indices):
+        return super().evaluate(indices) + 0.5 * len(indices)
+
+
+def shifted_utility() -> ShiftedUtility:
+    """:class:`ShiftedUtility` over :func:`small_utility`'s arrays."""
+    base = small_utility()
+    return ShiftedUtility(
+        base.model, base.x_train, base.y_train, base.x_valid, base.y_valid
+    )
+
+
+def weighted_accuracy(weight: float):
+    """A metric closure: each call of the factory captures its own weight."""
+
+    def metric(y_true, y_pred):
+        return weight * float(np.mean(np.asarray(y_true) == np.asarray(y_pred)))
+
+    return metric
+
+
+def weighted_utility(weight: float) -> Utility:
+    """:func:`small_utility`'s arrays under ``weighted_accuracy(weight)``;
+    the null score is fixed, so only the metric's captured weight differs."""
+    base = small_utility()
+    return Utility(
+        base.model, base.x_train, base.y_train, base.x_valid, base.y_valid,
+        metric=weighted_accuracy(weight), null_score=0.0,
+    )
+
+
 def slow_game(n: int = 8, seed: int = 3, delay_s: float = 0.004) -> SubsetUtility:
     base = saturating_game(n, seed)
 
@@ -80,21 +115,32 @@ def slow_game(n: int = 8, seed: int = 3, delay_s: float = 0.004) -> SubsetUtilit
 
 
 class TestWorkerPool:
-    def test_standard_utility_gets_shared_memory_mode(self):
-        with WorkerPool(small_utility(), n_workers=2) as pool:
-            assert pool.mode.startswith("shm-")
-            assert pool.shm_bytes > 0
-            assert len(pool.attach_latencies) == 2  # warmup ping per worker
-
-    @needs_fork
-    def test_closure_utility_rides_on_fork_inheritance(self):
-        with WorkerPool(saturating_game(), n_workers=2) as pool:
-            assert pool.mode == "fork"
-            assert pool.shm_bytes == 0
-
-    def test_closure_utility_on_spawn_raises_pool_unavailable(self):
+    def test_no_fork_raises_pool_unavailable_and_runs_serially(
+        self, monkeypatch
+    ):
+        """Without fork no pool can be built: construction raises, and an
+        engine leasing from a registry runs serially with the engine's
+        single warning, not a second one for the failed lease."""
+        serial = ValuationEngine(small_utility()).run_permutations(6, seed=4)
+        monkeypatch.setattr(engine_mod, "_FORK_CTX", None)
+        monkeypatch.setattr(engine_mod, "_WARNED_NO_FORK", set())
         with pytest.raises(PoolUnavailable):
-            WorkerPool(saturating_game(), n_workers=2, start_method="spawn")
+            WorkerPool(small_utility(), n_workers=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with valuation_pool(n_workers=2) as registry:
+                run = ValuationEngine(
+                    small_utility(), n_workers=2
+                ).run_permutations(6, seed=4)
+                assert registry.stats()["pools"] == 0
+        messages = [
+            str(w.message) for w in caught if w.category is RuntimeWarning
+        ]
+        assert len(messages) == 1
+        assert "engine fan-out" in messages[0]
+        assert "fell back to serial" in messages[0]
+        assert np.array_equal(run.values(), serial.values())
+        assert np.array_equal(run.stderr(), serial.stderr())
 
     def test_dispatch_after_close_raises(self):
         pool = WorkerPool(small_utility(), n_workers=2)
@@ -109,7 +155,6 @@ class TestWorkerPool:
             stats = pool.stats()
         assert stats["n_workers"] == 2
         assert stats["worker_starts"] >= 2
-        assert stats["attach_latency_s"]["count"] == 2
         assert stats["setup_s"] >= 0.0
         assert "supervision" in stats
 
@@ -123,6 +168,32 @@ class TestWorkerPool:
         # Closure games cannot be hashed; identity keeps them unshared.
         game = saturating_game()
         assert utility_fingerprint(game) == f"id:{id(game)}"
+
+    @needs_fork
+    @pytest.mark.parametrize(
+        "games",
+        [
+            pytest.param((small_utility, shifted_utility), id="subclass"),
+            pytest.param(
+                (lambda: weighted_utility(1.0), lambda: weighted_utility(2.0)),
+                id="metric-closures",
+            ),
+        ],
+    )
+    def test_registry_shares_pools_only_between_equal_games(self, games):
+        """Registry pools and their memo are keyed by the fingerprint, so it
+        must tell games apart that a plain content hash would not: a
+        subclass over equal arrays, and metric closures that differ only in
+        what they capture. Each job equals its own serial run."""
+        with valuation_pool(n_workers=2):
+            runs = [
+                ValuationEngine(make(), n_workers=2).run_permutations(6, seed=4)
+                for make in games
+            ]
+        for make, run in zip(games, runs):
+            serial = ValuationEngine(make()).run_permutations(6, seed=4)
+            assert np.array_equal(run.values(), serial.values())
+            assert np.array_equal(run.stderr(), serial.stderr())
 
 
 # ---------------------------------------------------------------------- #
@@ -143,7 +214,6 @@ class TestBitIdentity:
         assert np.array_equal(pooled.values(), serial.values())
         assert np.array_equal(pooled.stderr(), serial.stderr())
         assert pool_u.n_evaluations == serial_u.n_evaluations
-        assert census["pool"]["mode"].startswith("shm-")
 
     @needs_fork
     def test_closure_game_matches_serial_exactly(self):
@@ -185,17 +255,15 @@ class TestBitIdentity:
         assert np.array_equal(pooled, serial)
         assert np.array_equal(again, serial)
 
-    @pytest.mark.slow
-    def test_spawn_pool_matches_serial_exactly(self):
-        """The no-fork story is honest: shared memory + picklable chunk
-        descriptors run the same bits through spawned workers."""
-        serial_u = small_utility()
-        serial = ValuationEngine(serial_u).run_permutations(6, seed=1)
-        pool_u = small_utility()
-        with WorkerPool(pool_u, n_workers=2, start_method="spawn") as pool:
-            assert pool.mode == "shm-spawn"
-            engine = ValuationEngine(pool_u, n_workers=2, pool=pool)
-            pooled = engine.run_permutations(6, seed=1)
+    @needs_fork
+    def test_utility_subclass_matches_serial_exactly(self):
+        """Workers evaluate the driver's own utility object, so a subclass
+        that changes ``evaluate`` plays its own game on the pool."""
+        serial_u = shifted_utility()
+        serial = ValuationEngine(serial_u).run_permutations(8, seed=2)
+        pool_u = shifted_utility()
+        with ValuationEngine(pool_u, n_workers=2, pool=True) as engine:
+            pooled = engine.run_permutations(8, seed=2)
         assert np.array_equal(pooled.values(), serial.values())
         assert np.array_equal(pooled.stderr(), serial.stderr())
         assert pool_u.n_evaluations == serial_u.n_evaluations
@@ -566,9 +634,9 @@ class TestThreadSafety:
 class TestRecovery:
     @needs_fork
     def test_sigkill_of_pool_worker_mid_wave_reattaches_and_recovers(self):
-        """kill -9 one pool worker mid-run: the chunk is re-queued, the
-        replacement re-attaches to the existing shared segments (no
-        re-publish), and the values stay bit-identical to serial."""
+        """kill -9 one pool worker mid-run: the chunk is re-queued on a
+        freshly forked replacement, and the values stay bit-identical to
+        serial."""
         serial = ValuationEngine(slow_game()).run_permutations(40, seed=9)
         game = slow_game()
         with WorkerPool(game, n_workers=2) as pool:
@@ -587,30 +655,24 @@ class TestRecovery:
             assert not thread.is_alive()
             assert pool.supervision.worker_restarts >= 1
             assert pool.stats()["worker_starts"] >= 3  # 2 spawns + 1 replace
-            # Same segment throughout: the bundle was published once.
-            assert pool.bundle is None  # closure game → fork inheritance
         assert np.array_equal(result["run"].values(), serial.values())
         assert engine.worker_restarts >= 1  # mirrored into the engine
 
-    def test_sigkill_in_shm_mode_replacement_reattaches(self):
-        """Same recovery with the shared-memory plane: the replacement
-        worker's first chunk reports a fresh attach latency, proving it
-        re-mapped the segments instead of inheriting them."""
+    def test_sigkill_of_idle_worker_then_run_matches_serial(self):
+        """Same recovery for a worker killed between runs: the next run
+        replaces it with a fresh fork and matches serial."""
         utility = small_utility()
         with WorkerPool(utility, n_workers=2) as pool:
-            assert pool.mode.startswith("shm-")
-            attaches_before = len(pool.attach_latencies)
             os.kill(pool.dispatcher._workers[0].proc.pid, signal.SIGKILL)
             engine = ValuationEngine(utility, n_workers=2, pool=pool)
             run = engine.run_permutations(8, seed=2)
-            assert len(pool.attach_latencies) > attaches_before
             assert pool.stats()["worker_starts"] >= 3
         serial = ValuationEngine(small_utility()).run_permutations(8, seed=2)
         assert np.array_equal(run.values(), serial.values())
 
     def test_checkpoint_survives_pool_teardown_and_recreate(self, tmp_path):
         """A budget-stopped run checkpointed under pool A resumes under a
-        brand-new pool B — different processes, different segments — and
+        brand-new pool B — different processes — and
         completes bit-identically to an uninterrupted serial run."""
         ck = tmp_path / "ck.json"
         uninterrupted = ValuationEngine(small_utility()).run_permutations(
@@ -632,8 +694,7 @@ class TestRecovery:
     @pytest.mark.slow
     def test_kill_minus_nine_of_pooled_driver_then_resume(self, tmp_path):
         """The acceptance scenario: SIGKILL the whole driver mid-run with
-        the pool enabled. The checkpoint resumes bit-identically, and the
-        segments the dead driver leaked are reclaimed by the reaper."""
+        the pool enabled. The checkpoint resumes bit-identically."""
         ck = tmp_path / "ck.json"
         script = textwrap.dedent(
             f"""
@@ -668,7 +729,7 @@ class TestRecovery:
             stdout=subprocess.PIPE,
             text=True,
         )
-        pid_line = child.stdout.readline()
+        child.stdout.readline()  # the child is running
         deadline = time.monotonic() + 60.0
         while not ck.exists() and time.monotonic() < deadline:
             if child.poll() is not None:
@@ -682,16 +743,6 @@ class TestRecovery:
         assert 0 < snapshot["completed"] <= 60
         if snapshot["completed"] == 60:  # pragma: no cover - timing
             pytest.skip("child finished before the kill landed")
-
-        # The SIGKILLed driver could not unlink its segments; the reaper
-        # (called by every subsequent pool construction) reclaims them.
-        child_pid = int(pid_line.strip().split("PID=")[1])
-        reap_stale_segments()
-        if os.path.isdir("/dev/shm"):
-            prefix = f"{SEGMENT_PREFIX}{child_pid}-"
-            assert not [
-                n for n in os.listdir("/dev/shm") if n.startswith(prefix)
-            ]
 
         uninterrupted = ValuationEngine(small_utility()).run_permutations(
             60, seed=5, check_every=5
@@ -741,7 +792,6 @@ class TestObservability:
             snapshot["engine.pool.chunks_dispatched"]["value"]
             == pool.chunks_dispatched
         )
-        assert snapshot["engine.pool.attach_latency_s"]["count"] >= 2
         assert snapshot["engine.pool.workers_alive"]["value"] == 0  # closed
         assert "engine.pool.lifecycle" in spans
 
@@ -810,19 +860,15 @@ class _CrashAlways:
             os._exit(1)
 
 
-def _leftovers(before: tuple[set, set] | None) -> tuple:
-    """Child processes and own shared-memory segments that were not there
-    ``before`` (as returned by ``_leftovers(None)``)."""
+def _leftovers(before: set | None) -> set | list:
+    """Child processes that were not there ``before`` (as returned by
+    ``_leftovers(None)``)."""
     import multiprocessing as mp
 
     children = {child.pid for child in mp.active_children()}
-    segments = set()
-    if os.path.isdir("/dev/shm"):
-        prefix = f"{SEGMENT_PREFIX}{os.getpid()}-"
-        segments = {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
     if before is None:
-        return children, segments
-    return sorted(children - before[0]), sorted(segments - before[1])
+        return children
+    return sorted(children - before)
 
 
 @needs_fork
@@ -838,9 +884,9 @@ class TestCallScopedLease:
         run = engine.run_permutations(6, seed=2)
         assert engine.supervision.chunks_completed > 0
         assert engine._pool is None
-        assert _leftovers(before) == ([], [])
+        assert _leftovers(before) == []
         values = engine.evaluate_many(subsets)
-        assert _leftovers(before) == ([], [])
+        assert _leftovers(before) == []
         assert np.array_equal(
             run.values(), serial.run_permutations(6, seed=2).values()
         )
@@ -856,7 +902,7 @@ class TestCallScopedLease:
         with pytest.raises(ChunkFailure):
             engine.run_permutations(6, seed=2)
         assert engine.supervision.crashes == 4  # the first try + 3 retries
-        assert _leftovers(before) == ([], [])
+        assert _leftovers(before) == []
 
 
 # ---------------------------------------------------------------------- #

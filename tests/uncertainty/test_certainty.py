@@ -259,6 +259,11 @@ class TestMultiplicity:
         with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
             knn_flip_robustness(Xtr, ytr, Xv, k=k)
 
+    def test_empty_training_set_raises(self, binary_data):
+        Xtr, ytr, Xv, __ = binary_data
+        with pytest.raises(ValueError, match="training set is empty"):
+            knn_flip_robustness(Xtr[:0], ytr[:0], Xv, k=3)
+
     def test_sampled_multiplicity_profile(self, binary_data):
         Xtr, ytr, Xv, yv = binary_data
         profile = sampled_multiplicity(
