@@ -147,6 +147,22 @@ class DataFrame:
             if len(self.row_ids) != length:
                 raise ValueError("row_ids length does not match data")
 
+    @classmethod
+    def _adopt(cls, columns: dict[str, Column], row_ids: np.ndarray) -> "DataFrame":
+        """A frame over columns and row ids an operator has just built.
+
+        :meth:`__init__` copies what a caller passes in. An operator's
+        columns are fresh arrays of equal length that nothing else holds,
+        so the frame takes them as they are instead of copying them again.
+        """
+        if not columns and len(row_ids):
+            # As in __init__: a frame without columns has no rows.
+            raise ValueError("row_ids length does not match data")
+        frame = cls.__new__(cls)
+        frame._columns = columns
+        frame.row_ids = row_ids
+        return frame
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -206,9 +222,9 @@ class DataFrame:
     # Copying and equality
     # ------------------------------------------------------------------
     def copy(self) -> "DataFrame":
-        return DataFrame(
+        return DataFrame._adopt(
             {name: col.copy() for name, col in self._columns.items()},
-            row_ids=self.row_ids,
+            self.row_ids.copy(),
         )
 
     def equals(self, other: "DataFrame") -> bool:
@@ -240,9 +256,9 @@ class DataFrame:
     def take(self, indices: Any) -> "DataFrame":
         """Rows at the given *positions* (not row ids)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return DataFrame(
+        return DataFrame._adopt(
             {name: col.take(idx) for name, col in self._columns.items()},
-            row_ids=self.row_ids[idx],
+            self.row_ids[idx],
         )
 
     def filter(self, keep: Any) -> "DataFrame":
@@ -287,8 +303,8 @@ class DataFrame:
     # Column manipulation
     # ------------------------------------------------------------------
     def select(self, names: Sequence[str]) -> "DataFrame":
-        return DataFrame(
-            {name: self.column(name).copy() for name in names}, row_ids=self.row_ids
+        return DataFrame._adopt(
+            {str(name): self.column(name).copy() for name in names}, self.row_ids.copy()
         )
 
     def drop(self, names: str | Sequence[str]) -> "DataFrame":
@@ -299,9 +315,12 @@ class DataFrame:
         return self.select([c for c in self.columns if c not in dropped])
 
     def rename(self, mapping: Mapping[str, str]) -> "DataFrame":
-        return DataFrame(
-            {mapping.get(name, name): col.copy() for name, col in self._columns.items()},
-            row_ids=self.row_ids,
+        return DataFrame._adopt(
+            {
+                str(mapping.get(name, name)): col.copy()
+                for name, col in self._columns.items()
+            },
+            self.row_ids.copy(),
         )
 
     def assign(self, **columns: Any) -> "DataFrame":
@@ -426,7 +445,7 @@ class DataFrame:
                 taken = col.take(matched)
                 taken.mask[rpos < 0] = True
             data[out_name] = taken
-        joined = DataFrame(data, row_ids=self.row_ids[lpos])
+        joined = DataFrame._adopt(data, self.row_ids[lpos])
         if return_indices:
             return joined, lpos, rpos
         return joined
@@ -445,7 +464,7 @@ class DataFrame:
             name: Column.concat([f.column(name) for f in frames]) for name in names
         }
         row_ids = np.concatenate([f.row_ids for f in frames])
-        return DataFrame(data, row_ids=row_ids)
+        return DataFrame._adopt(data, row_ids)
 
     def groupby(self, by: str | Sequence[str]) -> "GroupBy":
         keys = [by] if isinstance(by, str) else list(by)

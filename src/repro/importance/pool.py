@@ -94,6 +94,19 @@ class PoolUnavailable(RuntimeError):
     """A worker pool cannot run on this platform: it cannot fork."""
 
 
+def _fork_context() -> Any:
+    """The engine's fork context; :class:`PoolUnavailable` without one."""
+    # Imported late, as engine imports us; reading _FORK_CTX here keeps
+    # one definition of fork availability for pools and the engine.
+    from .engine import _FORK_CTX
+
+    if _FORK_CTX is None:
+        raise PoolUnavailable(
+            "the 'fork' start method is unavailable on this platform"
+        )
+    return _FORK_CTX
+
+
 # --------------------------------------------------------------------- #
 # worker-side task execution                                            #
 # --------------------------------------------------------------------- #
@@ -262,16 +275,11 @@ class WorkerPool:
         chunk_timeout_s: float | None = None,
         chaos: Any | None = None,
     ) -> None:
-        # Imported late, as engine imports us; reading _FORK_CTX here keeps
-        # one definition of fork availability for pools and the engine.
-        from .engine import _FORK_CTX, SubsetMemo
+        from .engine import SubsetMemo  # late: engine imports us
 
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if _FORK_CTX is None:
-            raise PoolUnavailable(
-                "the 'fork' start method is unavailable on this platform"
-            )
+        fork_ctx = _fork_context()
         self.n_workers = int(n_workers)
         self.ledger = ledger
         self.utility = utility
@@ -295,7 +303,7 @@ class WorkerPool:
         self.chunks_dispatched = 0
 
         self.dispatcher = ChunkDispatcher(
-            _FORK_CTX,
+            fork_ctx,
             self.n_workers,
             {"utility": utility, "chaos": chaos},
             _pool_task,
@@ -493,8 +501,11 @@ class PoolRegistry:
         """An open pool for ``utility`` — warm when the dataset matches.
 
         A matching warm pool is reused even if its fleet size differs from
-        ``n_workers``: a warm memo beats an exact fleet size.
+        ``n_workers``: a warm memo beats an exact fleet size. Without fork
+        it raises :class:`PoolUnavailable` before hashing the utility or
+        counting a lease.
         """
+        _fork_context()
         workers = (
             int(n_workers) if n_workers and n_workers > 1 else self.n_workers
         )

@@ -61,8 +61,20 @@ class HashingVectorizer:
         return self.transform([text])[0]
 
     def transform(self, texts: Iterable[str]) -> np.ndarray:
-        """A ``(len(texts), n_features)`` matrix, one unit-norm row per text."""
-        parts = [self.transform_block(TokenBlock(block)) for block in blocks(texts)]
+        """A ``(len(texts), n_features)`` matrix, one unit-norm row per text.
+
+        Raises ``TypeError`` naming the position and type of the first text
+        that is not a ``str``.
+        """
+        parts, offset = [], 0
+        for block in blocks(texts):
+            for position, text in enumerate(block, offset):
+                if not isinstance(text, str):
+                    raise TypeError(
+                        f"text at position {position} is {type(text).__name__}, not str"
+                    )
+            parts.append(self.transform_block(TokenBlock(block)))
+            offset += len(block)
         return np.vstack(parts) if parts else np.empty((0, self.n_features))
 
     def transform_block(self, block: TokenBlock) -> np.ndarray:

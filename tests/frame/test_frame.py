@@ -260,3 +260,49 @@ class TestConversionAndEquality:
 
     def test_null_counts(self, simple_frame):
         assert simple_frame.null_counts() == {"a": 0, "b": 1, "c": 1, "flag": 0}
+
+
+#: Operators that build a frame from others, each over the frames of
+#: ``_alias_inputs``: join with and without unmatched keys, both kinds.
+DERIVED = {
+    "take": lambda f: f["left"].take([3, 0, 0]),
+    "filter": lambda f: f["left"].filter(np.array([True, False, True, True])),
+    "sort_values": lambda f: f["left"].sort_values("x", ascending=False),
+    "join-left-unmatched": lambda f: f["left"].join(f["partial"], on="k"),
+    "join-inner-unmatched": lambda f: f["left"].join(f["partial"], on="k", how="inner"),
+    "join-left-matched": lambda f: f["keyed"].join(f["total"], on="k"),
+    "join-inner-matched": lambda f: f["keyed"].join(f["total"], on="k", how="inner"),
+    "concat_rows": lambda f: DataFrame.concat_rows([f["left"], f["left"].head(2)]),
+    "copy": lambda f: f["left"].copy(),
+    "select": lambda f: f["left"].select(["x", "k"]),
+    "rename": lambda f: f["left"].rename({"v": "value"}),
+}
+
+
+def _alias_inputs() -> dict:
+    return {
+        "left": DataFrame(
+            {"k": ["a", "b", "c", None], "v": [1, 2, 3, 4], "x": [0.5, None, 2.0, 3.0]},
+            row_ids=[10, 11, 12, 13],
+        ),
+        "partial": DataFrame({"k": ["a", "b"], "w": [100, 200]}),
+        "keyed": DataFrame({"k": [3, 1, 2], "v": [1.0, 2.0, None]}, row_ids=[5, 6, 7]),
+        "total": DataFrame({"k": [1, 2, 3, 4], "w": ["p", "q", "r", "s"]}),
+    }
+
+
+def _arrays(frame: DataFrame) -> list:
+    columns = [frame[name] for name in frame.columns]
+    return [frame.row_ids] + [a for col in columns for a in (col.values, col.mask)]
+
+
+@pytest.mark.parametrize("op", list(DERIVED))
+def test_derived_frame_shares_no_array_with_its_inputs(op):
+    """An operator's frame copies each input column once, never zero
+    times: writing to it can never reach an input."""
+    inputs = _alias_inputs()
+    out = DERIVED[op](inputs)
+    assert out.num_rows > 0
+    for mine in _arrays(out):
+        for theirs in (a for frame in inputs.values() for a in _arrays(frame)):
+            assert not np.shares_memory(mine, theirs)

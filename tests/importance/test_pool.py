@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 import repro.importance.engine as engine_mod
+import repro.importance.pool as pool_mod
 from repro.datasets import make_classification
 from repro.importance import (
     PoolUnavailable,
@@ -141,6 +142,31 @@ class TestWorkerPool:
         assert "fell back to serial" in messages[0]
         assert np.array_equal(run.values(), serial.values())
         assert np.array_equal(run.stderr(), serial.stderr())
+
+    def test_no_fork_lease_neither_hashes_nor_counts(self, monkeypatch):
+        """Without fork a registry lease fails before it fingerprints the
+        utility or counts a lease: no work is spent on a pool that cannot
+        exist, and the registry's stats show no lease."""
+        monkeypatch.setattr(engine_mod, "_FORK_CTX", None)
+        monkeypatch.setattr(engine_mod, "_WARNED_NO_FORK", set())
+        hashed = []
+        real_fingerprint = pool_mod.utility_fingerprint
+
+        def counting_fingerprint(utility):
+            hashed.append(utility)
+            return real_fingerprint(utility)
+
+        monkeypatch.setattr(pool_mod, "utility_fingerprint", counting_fingerprint)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with valuation_pool(n_workers=2) as registry:
+                for seed in (11, 12, 13):
+                    ValuationEngine(
+                        small_utility(seed), n_workers=2
+                    ).run_permutations(4, seed=4)
+                stats = registry.stats()
+        assert (stats["pools"], stats["leases"], stats["reuses"]) == (0, 0, 0)
+        assert hashed == []
 
     def test_dispatch_after_close_raises(self):
         pool = WorkerPool(small_utility(), n_workers=2)

@@ -129,6 +129,16 @@ class TestTokenize:
         for probe in separator_probes():
             assert SentimentLexicon.tokenize(probe) == reference_tokenize(probe), probe
 
+    def test_matches_reference_at_every_code_point(self, monkeypatch):
+        """``"a" + ch + "B"`` for every non-surrogate code point, a few
+        thousand probes per text. A fresh separator table keeps the suite's
+        process from holding a full-Unicode one afterwards."""
+        monkeypatch.setattr(lexicon, "_SEPARATORS", type(lexicon._SEPARATORS)())
+        points = [cp for cp in range(sys.maxunicode + 1) if not 0xD800 <= cp <= 0xDFFF]
+        for start in range(0, len(points), 4096):
+            text = " ".join("a" + chr(cp) + "B" for cp in points[start : start + 4096])
+            assert SentimentLexicon.tokenize(text) == reference_tokenize(text), hex(points[start])
+
     @pytest.mark.parametrize("text", ["aⅫb", "x²y", "½", "rank①two", "İstanbul", "ǅemal"])
     def test_numerics_and_case_folding(self, text):
         assert SentimentLexicon.tokenize(text) == reference_tokenize(text)

@@ -12,6 +12,7 @@ from repro.text import (
     TextEmbedder,
     stable_hash,
 )
+from repro.text.lexicon import BLOCK_TEXTS
 
 
 class TestLexicon:
@@ -57,6 +58,14 @@ class TestHashing:
     def test_same_text_same_vector(self):
         hv = HashingVectorizer()
         assert np.allclose(hv.transform_one("abc def"), hv.transform_one("abc def"))
+
+    @pytest.mark.parametrize("cell, kind", [(None, "NoneType"), (3, "int")])
+    def test_non_str_cell_raises_type_error_naming_it(self, cell, kind):
+        # The bad cell sits in the second block, so its position counts
+        # the whole first block.
+        texts = ["a b"] * (BLOCK_TEXTS + 2) + [cell, None]
+        with pytest.raises(TypeError, match=f"position {BLOCK_TEXTS + 2} is {kind}"):
+            HashingVectorizer(8).transform(texts)
 
     def test_different_texts_differ(self):
         hv = HashingVectorizer(n_features=256)
