@@ -303,16 +303,25 @@ class DataFrame:
     # Column manipulation
     # ------------------------------------------------------------------
     def select(self, names: Sequence[str]) -> "DataFrame":
-        return DataFrame._adopt(
-            {str(name): self.column(name).copy() for name in names}, self.row_ids.copy()
-        )
+        return self._project(list(names), "select")
 
     def drop(self, names: str | Sequence[str]) -> "DataFrame":
         dropped = {names} if isinstance(names, str) else set(names)
         unknown = dropped - set(self._columns)
         if unknown:
             raise KeyError(f"cannot drop unknown columns: {sorted(unknown)}")
-        return self.select([c for c in self.columns if c not in dropped])
+        return self._project([c for c in self.columns if c not in dropped], "drop")
+
+    def _project(self, names: list[str], operator: str) -> "DataFrame":
+        """The frame of ``names``' columns; ``operator`` names the caller."""
+        if not names and self.num_rows:
+            raise ValueError(
+                f"{operator} leaves an empty projection: a frame without "
+                f"columns has no rows, and this one has {self.num_rows}"
+            )
+        return DataFrame._adopt(
+            {str(name): self.column(name).copy() for name in names}, self.row_ids.copy()
+        )
 
     def rename(self, mapping: Mapping[str, str]) -> "DataFrame":
         return DataFrame._adopt(

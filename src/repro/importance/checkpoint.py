@@ -9,11 +9,11 @@ permutation already paid for. This module makes valuation state durable:
   snapshot atomically (staged + fsync + rename + directory fsync, via
   :mod:`repro.obs.atomicio`), so a run killed *mid-write* leaves the
   previous snapshot intact and a resumed run never loads a torn file.
-  Loads verify the envelope checksum; a primary snapshot corrupted *after*
-  the fact (bit rot, a partial restore) is quarantined to a
-  ``<file>.corrupt`` sidecar and recovery falls back generation by
-  generation through the retained ``keep_last`` wave archives to the
-  newest valid snapshot — resuming from an older watermark is always
+  Saves alternate between two slot files, so a store always holds its
+  newest snapshot and the one before it. Loads verify both envelope
+  checksums; a slot corrupted *after* the fact (bit rot, a partial
+  restore) is quarantined to its ``<file>.corrupt`` sidecar and the other
+  slot serves instead — resuming from an older watermark is always
   correct (merely slower) because the RNG position is fully captured by
   ``(seed, completed watermark)``.
 - :func:`config_fingerprint` hashes everything that determines the
@@ -101,68 +101,50 @@ def config_fingerprint(config: Mapping[str, Any]) -> str:
 
 
 class CheckpointStore:
-    """Atomic, schema-versioned snapshot file for one valuation run.
+    """Atomic, schema-versioned snapshots of one valuation run, in two slots.
 
-    By default one store holds one snapshot (the latest wave boundary);
-    history is not kept — the point is crash durability, not time travel.
-    The snapshot is a single JSON document::
+    Slot 0 is ``path`` itself and slot 1 its sibling ``<name>.prev``. Each
+    :meth:`save` makes one atomic write, to the slot that does not hold the
+    newest snapshot this store has loaded or written, so the store keeps
+    exactly two snapshots: the newest and the one before it. The point is
+    crash durability, not time travel. A snapshot is a single JSON
+    document::
 
         {"schema_version": 1, "kind": "permutation", "fingerprint": "...",
          "completed": 40, "totals": [...], "sumsq": [...], ...}
 
     ``save`` goes through :func:`repro.obs.atomicio.atomic_write_text`;
     ``load`` validates the schema version and (when asked) the config
-    fingerprint before handing state back.
-
-    ``keep_last=N`` additionally archives each wave snapshot next to the
-    primary file (``<name>.wave<completed>``) and prunes superseded
-    archives beyond the newest ``N`` — the retention knob long service
-    runs need so a checkpoint directory holding many jobs' stores stays
-    bounded while still allowing a short rewind. Resume always reads the
-    primary file, so pruning never affects crash recovery.
+    fingerprint before handing state back. A store that has neither loaded
+    nor saved removes slot 1 before its first write, so a snapshot an
+    earlier run left there never outranks this run's first one.
     """
 
-    def __init__(self, path: Any, keep_last: int | None = None) -> None:
-        if keep_last is not None and keep_last < 1:
-            raise ValueError("keep_last must be >= 1 (or None)")
+    def __init__(self, path: Any) -> None:
         self.path = Path(path)
-        self.keep_last = keep_last
+        self._slots = (self.path, self.path.with_name(f"{self.path.name}.prev"))
+        #: Slot holding the newest snapshot this store has loaded or
+        #: written; ``None`` before either, and after :meth:`clear`.
+        self._newest: int | None = None
         #: Accounting for the most recent :meth:`load` that had to recover
-        #: (quarantined primary, archives tried, winning watermark);
-        #: ``None`` when the last load was clean.
+        #: (the quarantined slot, its error, the slot recovered from and
+        #: its watermark); ``None`` when the last load was clean.
         self.last_recovery: dict[str, Any] | None = None
 
     def exists(self) -> bool:
-        return self.path.exists()
+        return any(slot.exists() for slot in self._slots)
 
     def save(self, state: Mapping[str, Any]) -> None:
-        """Atomically replace the snapshot with ``state``.
-
-        With ``keep_last`` set, also write a per-wave archive and prune
-        superseded archives so at most ``keep_last`` remain.
-        """
+        """Atomically write ``state`` to the slot not holding the newest
+        snapshot, which stays behind as the fallback."""
         payload = {"schema_version": CHECKPOINT_SCHEMA_VERSION, **state}
-        text = frame_line(payload) + "\n"
-        atomic_write_text(self.path, text)
-        if self.keep_last is not None:
-            completed = int(state.get("completed", 0))
-            archive = self.path.with_name(
-                f"{self.path.name}.wave{completed:08d}"
-            )
-            atomic_write_text(archive, text)
-            self._prune()
-
-    def archives(self) -> list[Path]:
-        """Retained per-wave archives, oldest watermark first."""
-        pattern = f"{self.path.name}.wave*"
-        return sorted(self.path.parent.glob(pattern))
-
-    def _prune(self) -> None:
-        for stale in self.archives()[: -int(self.keep_last)]:
-            try:
-                stale.unlink()
-            except FileNotFoundError:  # pragma: no cover - concurrent prune
-                pass
+        if self._newest is None:
+            self._slots[1].unlink(missing_ok=True)
+            target = 0
+        else:
+            target = 1 - self._newest
+        atomic_write_text(self._slots[target], frame_line(payload) + "\n")
+        self._newest = target
 
     def _read_snapshot(
         self, path: Path
@@ -171,8 +153,8 @@ class CheckpointStore:
 
         Returns ``(payload, error_message, reason_tag)`` — exactly one of
         ``payload`` / ``error_message`` is set. Never raises: callers
-        decide whether an invalid snapshot is fatal (no archive left) or
-        merely the next fallback candidate.
+        decide whether an invalid snapshot is fatal (no valid slot left)
+        or merely a reason to fall back to the other slot.
         """
         try:
             with open(path, "r", encoding="utf-8", errors="replace") as handle:
@@ -197,50 +179,51 @@ class CheckpointStore:
         return payload, None, None
 
     def load(self) -> dict[str, Any] | None:
-        """The stored snapshot, or None when no checkpoint exists yet.
+        """The newest valid snapshot, or None when no checkpoint exists yet.
 
-        A primary snapshot that fails to parse, fails its CRC, or carries
-        the wrong schema version is quarantined to ``<path>.corrupt`` and
-        recovery walks the retained wave archives newest-first to the most
-        recent valid snapshot (see :attr:`last_recovery`); the primary is
-        healed from the winning archive so the next load is clean. Only
-        when *no* valid generation remains does the load raise
-        :class:`CheckpointError`.
+        Reads both slots and returns the valid one with the higher
+        ``completed``. A slot that fails to parse, fails its CRC, or
+        carries the wrong schema version is quarantined to its
+        ``<slot>.corrupt`` sidecar. When the other slot is valid it serves
+        as the fallback (see :attr:`last_recovery`) and the damaged slot is
+        removed, so the next load is clean. When no slot is valid, both
+        files stay in place and every load raises :class:`CheckpointError`.
         """
         self.last_recovery = None
-        if not self.path.exists():
-            return None
-        payload, error, reason = self._read_snapshot(self.path)
-        if error is None:
-            return payload
-        return self._fall_back(error, reason or "unreadable")
-
-    def _fall_back(self, primary_error: str, reason: str) -> dict[str, Any]:
-        """Quarantine the corrupt primary and resume from the newest valid
-        archive generation, healing the primary on the way out."""
-        quarantine_file(self.path, artifact="checkpoint", reason=reason)
-        recovery: dict[str, Any] = {
-            "path": str(self.path),
-            "primary_error": primary_error,
-            "archives_tried": 0,
-            "recovered_from": None,
-            "completed": None,
-        }
-        for archive in reversed(self.archives()):
-            recovery["archives_tried"] += 1
-            candidate, c_error, _ = self._read_snapshot(archive)
-            if c_error is not None:
+        found: dict[int, dict[str, Any]] = {}
+        damaged: list[tuple[Path, str]] = []
+        for index, slot in enumerate(self._slots):
+            if not slot.exists():
                 continue
-            atomic_write_text(
-                self.path, archive.read_text(encoding="utf-8")
+            payload, error, reason = self._read_snapshot(slot)
+            if error is None:
+                found[index] = payload
+            else:
+                quarantine_file(slot, artifact="checkpoint", reason=reason)
+                damaged.append((slot, error))
+        if damaged:
+            slot, error = damaged[0]
+            self.last_recovery = {
+                "path": str(slot),
+                "error": error,
+                "recovered_from": None,
+                "completed": None,
+            }
+            if not found:
+                raise CheckpointError(error)
+        if not found:
+            return None
+        newest = max(found, key=lambda i: (found[i].get("completed", 0), -i))
+        self._newest = newest
+        if damaged:
+            # Its bytes are in the sidecar, and the other slot is valid.
+            slot.unlink(missing_ok=True)
+            self.last_recovery.update(
+                recovered_from=self._slots[newest].name,
+                completed=found[newest].get("completed"),
             )
-            recovery["recovered_from"] = archive.name
-            recovery["completed"] = candidate.get("completed")
-            self.last_recovery = recovery
-            self._note_fallback(recovery)
-            return candidate
-        self.last_recovery = recovery
-        raise CheckpointError(primary_error)
+            self._note_fallback(self.last_recovery)
+        return found[newest]
 
     def _note_fallback(self, recovery: dict[str, Any]) -> None:
         # Lazy: keep checkpoint importable without dragging in the whole
@@ -260,11 +243,11 @@ class CheckpointStore:
                 node="checkpoint",
                 column=None,
                 metric="storage.checkpoint_fallback",
-                value=float(recovery["archives_tried"]),
+                value=1.0,
                 threshold=0.0,
                 message=(
-                    f"checkpoint at {self.path} was corrupt "
-                    f"({recovery['primary_error']}); resumed from archive "
+                    f"checkpoint slot {recovery['path']} was corrupt "
+                    f"({recovery['error']}); resumed from slot "
                     f"{recovery['recovered_from']} at watermark "
                     f"{recovery['completed']}"
                 ),
@@ -298,12 +281,10 @@ class CheckpointStore:
         return payload
 
     def clear(self) -> None:
-        """Remove the snapshot and any archives (e.g. after a run completes)."""
-        for target in [self.path, *self.archives()]:
-            try:
-                target.unlink()
-            except FileNotFoundError:
-                pass
+        """Remove both slots (e.g. after a run completes)."""
+        for slot in self._slots:
+            slot.unlink(missing_ok=True)
+        self._newest = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "present" if self.exists() else "absent"

@@ -67,7 +67,8 @@ def _check_groups(groups: Sequence[np.ndarray], n_train: int) -> list[np.ndarray
 
     One range check and one ``bincount`` over the concatenated groups
     clear the valid case; only a failing input is scanned group by group,
-    to raise for its first fault. Groups come back sorted.
+    to raise for its first fault. Groups come back sorted, each row
+    once.
     """
     cleaned = [np.asarray(g, dtype=np.int64) for g in groups]
     if not cleaned:
@@ -78,8 +79,10 @@ def _check_groups(groups: Sequence[np.ndarray], n_train: int) -> list[np.ndarray
         or flat.max() >= n_train
         or np.bincount(flat, minlength=n_train).max() > 1
     ):
-        # A repeat inside one group is no overlap, so this may return.
+        # A repeat inside one group is no overlap, so this may return. A
+        # group is a set of rows: a row it repeats counts once.
         _first_fault(cleaned, n_train)
+        return [np.unique(g) for g in cleaned]
     owner = np.repeat(np.arange(len(cleaned)), [len(g) for g in cleaned])
     descent = (flat[1:] < flat[:-1]) & (owner[1:] == owner[:-1])
     for p in np.unique(owner[1:][descent]).tolist():
@@ -250,14 +253,6 @@ def exact_knn_shapley(
     groups = _check_groups(groups, len(y_train))
     m = len(groups)
     sizes = np.asarray([len(g) for g in groups], dtype=np.int64)
-    if sizes.size and sizes.max() > 1:
-        # A row a group lists twice counts once: a group is a set of rows.
-        # The groups are sorted and disjoint, so a repeat is the only way
-        # two neighbours in their concatenation can be equal.
-        flat = np.concatenate(groups)
-        if (flat[1:] == flat[:-1]).any():
-            groups = [np.unique(g) for g in groups]
-            sizes = np.asarray([len(g) for g in groups], dtype=np.int64)
     form = "fork" if sizes.size and sizes.max() > 1 else "map"
     if form == "fork" and k != 1:
         raise ValueError(

@@ -501,8 +501,8 @@ def quarantine_file(path: Any, artifact: str, reason: str) -> LoadReport:
     valuation checkpoint) rather than JSONL: the full body is copied into
     the ``<path>.corrupt`` sidecar as one ``quarantined_record`` (same
     dedup, metrics, flight-recording, and alerting). The source file is
-    left in place — recovery (e.g. archive fallback) decides what replaces
-    it.
+    left in place — recovery (e.g. a checkpoint's fallback to its other
+    slot) decides what replaces it.
     """
     path = Path(path)
     report = LoadReport(path=str(path), artifact=artifact)

@@ -9,8 +9,8 @@ This is the server-grade shell around the valuation engine the ROADMAP's
 - a **write-ahead journal** (:mod:`repro.service.journal`) — every
   lifecycle edge is durable before the in-memory state advances, so a
   SIGKILL'd runtime restarts, replays, and re-enqueues every in-flight job;
-- per-job **checkpoint stores** (:mod:`repro.importance.checkpoint`, with
-  ``keep_last`` retention) — recovered valuation jobs resume from their
+- per-job **checkpoint stores** (:mod:`repro.importance.checkpoint`, two
+  alternating slots each) — recovered valuation jobs resume from their
   wave watermark and finish bit-identical to an uninterrupted run;
 - **deduplication** — submissions with equal (dataset-fingerprint,
   config-fingerprint) keys attach to the already-running job as
@@ -143,9 +143,6 @@ class JobRuntime:
     max_concurrency:
         Worker tasks executing handlers concurrently (each in its own
         thread via ``asyncio.to_thread``).
-    keep_checkpoints:
-        ``keep_last`` retention for each job's checkpoint store, bounding
-        checkpoint-directory growth over long service runs.
     pool:
         Warm worker pools for valuation jobs. An ``int`` builds a
         :class:`~repro.importance.pool.PoolRegistry` with that fleet size;
@@ -179,7 +176,6 @@ class JobRuntime:
         breaker_policy: BreakerPolicy | None = None,
         retry: RetryPolicy | None = None,
         max_concurrency: int = 2,
-        keep_checkpoints: int | None = 3,
         pool: Any | None = None,
         chaos: Any | None = None,
         slo: SLOPolicy | SLOTracker | None = None,
@@ -197,7 +193,6 @@ class JobRuntime:
         self.ledger = ledger
         self.retry = retry or RetryPolicy()
         self.max_concurrency = int(max_concurrency)
-        self.keep_checkpoints = keep_checkpoints
         if pool is None or pool is False:
             self.pool_registry = None
             self._owns_pools = False
@@ -551,10 +546,7 @@ class JobRuntime:
         if self.checkpoint_dir is None:
             return None
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        return CheckpointStore(
-            self.checkpoint_dir / f"{job.job_id}.ck.json",
-            keep_last=self.keep_checkpoints,
-        )
+        return CheckpointStore(self.checkpoint_dir / f"{job.job_id}.ck.json")
 
     def _remaining_deadline(self, job: Job) -> float | None:
         """End-to-end deadline minus time already spent (queueing,

@@ -109,6 +109,15 @@ class TestColumnManipulation:
         with pytest.raises(KeyError):
             simple_frame.drop("zz")
 
+    def test_empty_projection_names_the_operator(self):
+        frame = DataFrame({"a": [1, 2], "b": ["x", "y"]})
+        with pytest.raises(ValueError, match=r"^select leaves an empty projection"):
+            frame.select([])
+        with pytest.raises(ValueError, match=r"^drop leaves an empty projection"):
+            frame.drop(["a", "b"])
+        empty = frame.head(0).select([])
+        assert empty.num_rows == 0 and empty.columns == []
+
     def test_rename(self, simple_frame):
         assert "alpha" in simple_frame.rename({"a": "alpha"})
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from repro.importance import (
     shapley_mc,
 )
 from repro.importance.checkpoint import CHECKPOINT_SCHEMA_VERSION
+from repro.obs.atomicio import IOHooks, io_hooks, unframe
 
 
 def saturating_game(n: int = 10, seed: int = 3) -> SubsetUtility:
@@ -511,64 +514,70 @@ class TestProgressCallback:
 
 
 # ---------------------------------------------------------------------- #
-# retention (keep_last pruning of wave archives)                         #
+# retention: two alternating slots                                       #
 # ---------------------------------------------------------------------- #
 
 
-class TestRetention:
-    def test_keep_last_bounds_archives(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ck.json", keep_last=2)
-        for wave in range(1, 6):
-            store.save({"completed": wave * 5, "config_fingerprint": "fp"})
-        names = [path.name for path in store.archives()]
-        assert names == ["ck.json.wave00000020", "ck.json.wave00000025"]
-        assert store.load()["completed"] == 25  # primary is always newest
+def slot1(path):
+    """Slot 1 of the store at ``path``: the sibling that alternates with it."""
+    return path.with_name(f"{path.name}.prev")
 
+
+def watermark(path):
+    """``completed`` of the snapshot in one slot file, read without a store."""
+    payload, error = unframe(json.loads(path.read_text(encoding="utf-8")))
+    assert error is None
+    return payload["completed"]
+
+
+class TestRetention:
     def test_resume_unaffected_by_pruning(self, tmp_path):
+        """A run that does not resume removes the slot an earlier run left
+        behind before its first write, so a one-save run resumes from its
+        own watermark, not from the earlier run's higher one."""
         ck = tmp_path / "ck.json"
-        game = saturating_game()
-        interrupted = ValuationEngine(game, checkpoint=CheckpointStore(ck, keep_last=1))
-        interrupted.run_permutations(20, seed=7, check_every=5, max_evals=60)
-        store = CheckpointStore(ck, keep_last=1)
-        assert len(store.archives()) == 1  # superseded waves pruned
+        earlier = CheckpointStore(ck)
+        for completed in (100, 105):
+            earlier.save({"kind": "permutation", "fingerprint": "other",
+                          "completed": completed})
+        interrupted = ValuationEngine(saturating_game(), checkpoint=ck)
+        partial = interrupted.run_permutations(
+            20, seed=7, check_every=5, max_evals=2
+        )
+        assert partial.n_permutations == 5  # one wave, one save
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
         resumed = ValuationEngine(
-            saturating_game(), checkpoint=CheckpointStore(ck, keep_last=1),
-            resume=True,
+            saturating_game(), checkpoint=ck, resume=True
         ).run_permutations(20, seed=7, check_every=5)
         uninterrupted = ValuationEngine(saturating_game()).run_permutations(
             20, seed=7, check_every=5
         )
-        assert resumed.resumed_from > 0
+        assert resumed.resumed_from == 5
         assert np.array_equal(resumed.values(), uninterrupted.values())
 
     def test_clear_removes_archives_too(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ck.json", keep_last=3)
+        """``clear`` removes both slots, slot 1 included."""
+        store = CheckpointStore(tmp_path / "ck.json")
         for wave in range(3):
             store.save({"completed": wave})
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ck.json", "ck.json.prev"
+        ]
         store.clear()
-        assert not store.exists() and store.archives() == []
+        assert not store.exists()
         assert list(tmp_path.iterdir()) == []
-
-    def test_keep_last_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="keep_last"):
-            CheckpointStore(tmp_path / "ck.json", keep_last=0)
-
-    def test_default_keeps_no_archives(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ck.json")
-        store.save({"completed": 1})
-        store.save({"completed": 2})
-        assert store.archives() == []
-        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
 
 # ---------------------------------------------------------------------- #
-# corruption: quarantine + generation-by-generation archive fallback     #
+# corruption: quarantine + fallback to the other slot                    #
 # ---------------------------------------------------------------------- #
 
 
 class TestCorruptionFallback:
-    def _populate(self, tmp_path, waves=4, keep_last=3):
-        store = CheckpointStore(tmp_path / "ck.json", keep_last=keep_last)
+    def _populate(self, tmp_path, waves=4):
+        """Save waves 5, 10, ...: the newest lands in slot 0 (``ck.json``)
+        after an odd number of saves and in slot 1 after an even one."""
+        store = CheckpointStore(tmp_path / "ck.json")
         for wave in range(1, waves + 1):
             store.save(
                 {"kind": "permutation", "fingerprint": "fp",
@@ -577,34 +586,47 @@ class TestCorruptionFallback:
         return store
 
     def test_corrupt_primary_falls_back_to_newest_archive(self, tmp_path):
-        store = self._populate(tmp_path)
+        """A damaged newest slot falls back to the other slot, which holds
+        the snapshot before it; the damaged slot is removed."""
+        store = self._populate(tmp_path, waves=3)
         store.path.write_text("{bit rot", encoding="utf-8")
         payload = store.load()
-        assert payload["completed"] == 20  # newest retained generation
-        assert store.last_recovery["recovered_from"].endswith("wave00000020")
-        assert store.last_recovery["completed"] == 20
-        # the primary was healed: the next load is clean
-        assert store.load()["completed"] == 20
+        assert payload["completed"] == 10
+        assert store.last_recovery["path"] == str(store.path)
+        assert store.last_recovery["recovered_from"] == "ck.json.prev"
+        assert store.last_recovery["completed"] == 10
+        assert not store.path.exists() and store.exists()
+        # the damaged slot is gone: the next load is clean
+        assert store.load()["completed"] == 10
         assert store.last_recovery is None
+        # and the next save fills the damaged slot, keeping the fallback
+        store.save({"kind": "permutation", "fingerprint": "fp", "completed": 15})
+        assert watermark(store.path) == 15
+        assert watermark(slot1(store.path)) == 10
 
     def test_crc_mismatch_detected_and_recovered(self, tmp_path):
-        store = self._populate(tmp_path)
+        store = self._populate(tmp_path, waves=3)
         text = store.path.read_text(encoding="utf-8")
+        assert '"completed":15' in text
         # flip payload bytes but keep the line valid JSON: parses fine,
         # fails the CRC — exactly what un-checksummed persistence missed
-        store.path.write_text(text.replace('"completed":20', '"completed":99'))
+        store.path.write_text(text.replace('"completed":15', '"completed":99'))
         payload = store.load()
-        assert payload["completed"] == 20
-        assert "crc_mismatch" in store.last_recovery["primary_error"]
+        assert payload["completed"] == 10
+        assert "crc_mismatch" in store.last_recovery["error"]
 
     def test_falls_back_past_corrupt_archives(self, tmp_path):
+        """Damage to slot 1, holding the newest snapshot, falls back to
+        slot 0 and quarantines slot 1 to its own sidecar."""
         store = self._populate(tmp_path)
-        store.path.write_text("garbage")
-        archives = store.archives()
-        archives[-1].write_text("also garbage")  # newest archive is bad too
+        damaged = slot1(store.path)
+        damaged.write_text("also garbage")
         payload = store.load()
-        assert payload["completed"] == 15  # second-newest generation wins
-        assert store.last_recovery["archives_tried"] == 2
+        assert payload["completed"] == 15
+        assert store.last_recovery["path"] == str(damaged)
+        assert store.last_recovery["recovered_from"] == "ck.json"
+        assert not damaged.exists()
+        assert (tmp_path / "ck.json.prev.corrupt").exists()
 
     def test_quarantines_corrupt_primary_to_sidecar(self, tmp_path):
         from repro.obs.atomicio import read_jsonl
@@ -620,13 +642,15 @@ class TestCorruptionFallback:
         assert records[0]["raw"] == "{bit rot"
 
     def test_raises_original_error_when_no_archive_survives(self, tmp_path):
+        """With both slots damaged every load raises, and both files stay."""
         store = self._populate(tmp_path)
         store.path.write_text("{bit rot")
-        for archive in store.archives():
-            archive.write_text("dead")
-        with pytest.raises(CheckpointError, match="unreadable"):
-            store.load()
-        assert store.last_recovery["recovered_from"] is None
+        slot1(store.path).write_text("dead")
+        for _ in range(2):
+            with pytest.raises(CheckpointError, match="unreadable"):
+                store.load()
+            assert store.last_recovery["recovered_from"] is None
+            assert store.path.exists() and slot1(store.path).exists()
 
     def test_wrong_schema_is_a_fallback_candidate_not_fatal(self, tmp_path):
         store = self._populate(tmp_path)
@@ -658,14 +682,14 @@ class TestCorruptionFallback:
     def test_resume_bit_identical_after_primary_corruption(self, tmp_path):
         ck = tmp_path / "ck.json"
         interrupted = ValuationEngine(
-            saturating_game(), checkpoint=CheckpointStore(ck, keep_last=3)
+            saturating_game(), checkpoint=CheckpointStore(ck)
         )
         interrupted.run_permutations(30, seed=5, check_every=5, max_evals=60)
         # rot the primary snapshot after the "crash"
         ck.write_bytes(ck.read_bytes()[:-7] + b"XXXXXXX")
         resumed = ValuationEngine(
             saturating_game(),
-            checkpoint=CheckpointStore(ck, keep_last=3),
+            checkpoint=CheckpointStore(ck),
             resume=True,
         ).run_permutations(30, seed=5, check_every=5)
         uninterrupted = ValuationEngine(saturating_game()).run_permutations(
@@ -673,3 +697,159 @@ class TestCorruptionFallback:
         )
         assert resumed.resumed_from > 0
         assert np.array_equal(resumed.values(), uninterrupted.values())
+
+
+# ---------------------------------------------------------------------- #
+# the two-slot contract                                                  #
+# ---------------------------------------------------------------------- #
+
+
+class Killed(Exception):
+    """Stands in for a process death right after a save returned."""
+
+
+class KilledAfter(CheckpointStore):
+    """A store whose run dies right after its ``saves``-th save."""
+
+    def __init__(self, path, saves):
+        super().__init__(path)
+        self.saves_left = saves
+
+    def save(self, state):
+        super().save(state)
+        self.saves_left -= 1
+        if self.saves_left == 0:
+            raise Killed
+
+
+class CountingHooks(IOHooks):
+    """Records the name of every file an atomic write published."""
+
+    def __init__(self):
+        self.published = []
+
+    def on_replace(self, tmp, path, when):
+        if when == "after":
+            self.published.append(path.name)
+
+
+class TestTwoSlots:
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("saves", range(1, 7))
+    def test_whole_file_damage_to_one_slot(self, tmp_path, saves, slot):
+        """A run killed after 1 to 6 saves, then one slot overwritten
+        whole: the resume starts from the newest valid snapshot of this
+        run and ends bit-identical to an uninterrupted run."""
+        ck = tmp_path / "ck.json"
+        with pytest.raises(Killed):
+            ValuationEngine(
+                saturating_game(), checkpoint=KilledAfter(ck, saves)
+            ).run_permutations(30, seed=5, check_every=5)
+        # Save i lands in slot (i - 1) % 2, so the newest is in that of
+        # save ``saves``; slot 1 does not exist yet after one save.
+        (ck, slot1(ck))[slot].write_bytes(b"\x00 not a snapshot \xff")
+        newest_damaged = slot == (saves - 1) % 2
+        expected = 5 * (saves - 1) if newest_damaged else 5 * saves
+        resuming = ValuationEngine(
+            saturating_game(), checkpoint=ck, resume=True
+        )
+        if expected == 0:  # the only snapshot is damaged
+            with pytest.raises(CheckpointError):
+                resuming.run_permutations(30, seed=5, check_every=5)
+            return
+        resumed = resuming.run_permutations(30, seed=5, check_every=5)
+        uninterrupted = ValuationEngine(saturating_game()).run_permutations(
+            30, seed=5, check_every=5
+        )
+        assert resumed.resumed_from == expected
+        assert np.array_equal(resumed.values(), uninterrupted.values())
+        assert np.array_equal(resumed.stderr(), uninterrupted.stderr())
+
+    def test_default_store_falls_back(self, tmp_path):
+        """The store ``checkpoint=path`` builds keeps a fallback too: with
+        its newest snapshot damaged, the resume starts one wave earlier."""
+        ck = tmp_path / "ck.json"
+        partial = ValuationEngine(
+            saturating_game(8), checkpoint=ck
+        ).run_permutations(30, seed=5, check_every=5, max_evals=60)
+        assert partial.n_permutations == 15  # three saves: slot 0 newest
+        ck.write_bytes(ck.read_bytes()[:-7] + b"XXXXXXX")
+        resumed = ValuationEngine(
+            saturating_game(8), checkpoint=ck, resume=True
+        ).run_permutations(30, seed=5, check_every=5)
+        uninterrupted = ValuationEngine(saturating_game(8)).run_permutations(
+            30, seed=5, check_every=5
+        )
+        assert resumed.resumed_from == 10
+        assert np.array_equal(resumed.values(), uninterrupted.values())
+
+    def test_path_reuse_never_falls_back_to_an_earlier_run(self, tmp_path):
+        """A run that reuses a path without resuming falls back only to its
+        own snapshots, never to those of the run that used the path
+        before it."""
+        ck = tmp_path / "ck.json"
+        earlier = CheckpointStore(ck)
+        for completed in (30, 35, 40):
+            earlier.save({"kind": "permutation", "fingerprint": "A",
+                          "completed": completed})
+        store = CheckpointStore(ck)
+        store.save({"kind": "permutation", "fingerprint": "B", "completed": 5})
+        assert store.load_matching("permutation", "B")["completed"] == 5
+        store.save({"kind": "permutation", "fingerprint": "B", "completed": 10})
+        (newest,) = [
+            path for path in tmp_path.iterdir() if watermark(path) == 10
+        ]
+        newest.write_text("{bit rot")
+        payload = CheckpointStore(ck).load_matching("permutation", "B")
+        assert payload["completed"] == 5
+
+    def test_exists_when_only_slot_one_is_left(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ck.json")
+        store.save({"completed": 5})
+        store.save({"completed": 10})
+        store.path.unlink()
+        fresh = CheckpointStore(store.path)
+        assert fresh.exists()
+        assert fresh.load()["completed"] == 10
+
+    def test_one_write_per_save_and_two_files(self, tmp_path):
+        """Every save publishes exactly one file, and the directory only
+        ever holds the two slots plus quarantine sidecars."""
+        store = CheckpointStore(tmp_path / "ck.json")
+        slots = {"ck.json", "ck.json.prev"}
+        sidecars = {f"{name}.corrupt{lock}" for name in slots
+                    for lock in ("", ".lock")}
+        hooks = CountingHooks()
+        with io_hooks(hooks):
+            for n in range(1, 10):
+                if n == 5:  # damage the newest snapshot, then fall back
+                    slot1(store.path).write_text("junk")
+                    assert store.load()["completed"] == 15
+                store.save({"completed": 5 * n})
+                assert len(hooks.published) == n
+                names = {path.name for path in tmp_path.iterdir()}
+                assert names - sidecars == (slots if n > 1 else {"ck.json"})
+        assert hooks.published[:4] == ["ck.json", "ck.json.prev"] * 2
+        # After the fallback to slot 0, the next save refills slot 1.
+        assert hooks.published[4:6] == ["ck.json.prev", "ck.json"]
+        assert store.load()["completed"] == 45
+
+    def test_single_file_primary_loads_and_resumes(self, tmp_path):
+        """A snapshot written by the single-file store of commit 310d873 is
+        slot 0 as it stands: it loads unchanged and resumes
+        bit-identically."""
+        fixture = Path(__file__).parent / "data" / "primary_310d873.ck.json"
+        ck = tmp_path / "ck.json"
+        shutil.copyfile(fixture, ck)
+        payload = CheckpointStore(ck).load()
+        assert payload == unframe(json.loads(fixture.read_text()))[0]
+        assert payload["completed"] == 10
+        resumed = ValuationEngine(
+            saturating_game(), checkpoint=ck, resume=True
+        ).run_permutations(30, seed=5, check_every=5)
+        uninterrupted = ValuationEngine(saturating_game()).run_permutations(
+            30, seed=5, check_every=5
+        )
+        assert resumed.resumed_from == 10
+        assert np.array_equal(resumed.values(), uninterrupted.values())
+        assert np.array_equal(resumed.stderr(), uninterrupted.stderr())

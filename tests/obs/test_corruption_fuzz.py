@@ -192,17 +192,18 @@ class TestCorruptedLineFuzz:
             rng = np.random.default_rng([17, trial])
             ck = tmp_path / f"t{trial}" / "ck.json"
             ck.parent.mkdir()
-            store = CheckpointStore(ck, keep_last=3)
+            store = CheckpointStore(ck)
             for wave in range(1, 4):
                 store.save({"kind": "permutation", "completed": wave * 5})
             damaged = ck.read_bytes()
             for _ in range(int(rng.integers(1, 4))):
                 damaged = _mutate(damaged, rng)
             ck.write_bytes(damaged)
-            fresh = CheckpointStore(ck, keep_last=3)
-            # Archives exist, so recovery must always produce a payload —
-            # either the damaged primary still parses clean, or fallback
-            # lands on a wave archive. CheckpointError would be a failure.
+            fresh = CheckpointStore(ck)
+            # Slot 1 holds the snapshot before the damaged one, so recovery
+            # must always produce a payload — either the damaged slot still
+            # parses clean, or the load falls back to slot 1.
+            # CheckpointError would be a failure.
             payload = fresh.load()
             assert payload is not None
             assert payload["completed"] in (5, 10, 15)
@@ -210,12 +211,14 @@ class TestCorruptedLineFuzz:
     def test_checkpoint_with_no_archives_raises_only_checkpoint_error(
         self, tmp_path
     ):
+        # A store that saved once holds one snapshot: slot 1 appears only
+        # with its second save, so damage to slot 0 has no fallback.
         ck = tmp_path / "ck.json"
-        store = CheckpointStore(ck)  # keep_last=None: no archives
-        store.save({"kind": "permutation", "completed": 5})
         for trial in range(N_TRIALS):
+            CheckpointStore(ck).save({"kind": "permutation", "completed": 5})
+            assert not ck.with_name("ck.json.prev").exists()
             rng = np.random.default_rng([19, trial])
-            data = store.path.read_bytes()
+            data = ck.read_bytes()
             for _ in range(int(rng.integers(1, 4))):
                 data = _mutate(data, rng)
             ck.write_bytes(data)
@@ -224,8 +227,6 @@ class TestCorruptedLineFuzz:
                 fresh.load()  # clean parse is fine (mutation may be benign)
             except CheckpointError:
                 pass  # the one documented unrecoverable signal
-            # restore for the next trial
-            store.save({"kind": "permutation", "completed": 5})
 
 
 # -- two-process concurrent-writer fuzz ----------------------------------- #

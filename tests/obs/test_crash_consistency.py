@@ -108,7 +108,7 @@ class TestCheckpointSweep:
         assert by_key[("crash_before_rename", final)]["resumed_from"] == (
             harness.CK_PERMUTATIONS - harness.CK_CHECK_EVERY
         )
-        # Final primary torn on disk: recovery fell back to an archive.
+        # Final snapshot torn on disk: recovery fell back to the other slot.
         assert by_key[("short_write", final)]["fallback"]
 
 

@@ -309,7 +309,7 @@ class TestCheckGroups:
 
     def test_repeat_within_one_group_is_no_overlap(self):
         cleaned = _check_groups([np.asarray([2, 2]), np.asarray([1])], n_train=3)
-        assert [g.tolist() for g in cleaned] == [[2, 2], [1]]
+        assert [g.tolist() for g in cleaned] == [[2], [1]]
 
 
 # ----------------------------------------------------------------------

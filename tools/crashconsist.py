@@ -25,8 +25,8 @@ The parent then verifies, per case:
    torn records (atomicity); each short write or torn append leaves
    exactly one, and it lands in the ``.corrupt`` sidecar.
 4. **Resumed valuations are bit-identical.** A valuation killed at any
-   checkpoint-write fault point resumes — falling back through wave
-   archives when the primary snapshot was torn — and produces values
+   checkpoint-write fault point resumes — falling back to the other
+   checkpoint slot when the newest snapshot was torn — and produces values
    ``np.array_equal`` to a run that was never interrupted.
 
 Run it standalone (CI's durability-smoke job does)::
@@ -72,16 +72,16 @@ CRASH_KINDS = ("crash_before_rename", "crash_after_rename")
 TORN_KINDS = ("short_write", "torn_append")
 
 #: Valuation run shape for the checkpoint scenario: 30 permutations in
-#: waves of 5 → 6 checkpoint saves, each one primary + one archive commit.
+#: waves of 5 → 6 checkpoint saves, one commit each (the slots alternate).
 CK_PERMUTATIONS = 30
 CK_SEED = 5
 CK_CHECK_EVERY = 5
 
-#: Commit ordinal of the *final* primary snapshot write (wave 6 of 6;
-#: primaries land on even ordinals). A fault here is the only one later
-#: waves cannot paper over, so the sweep always includes it — it is the
-#: case that forces recovery to fall back to a wave archive.
-CK_FINAL_PRIMARY_OP = 10
+#: Commit ordinal of the *final* snapshot write (wave 6 of 6). A fault
+#: here is the only one later waves cannot paper over, so the sweep always
+#: includes it — it is the case that forces recovery to fall back to the
+#: other slot, which holds wave 5.
+CK_FINAL_PRIMARY_OP = 5
 
 # Child writer scripts. The fault spec rides argv (argv[1]=kind,
 # argv[2]=op ordinal, argv[3]=target path); repro is importable because
@@ -126,7 +126,7 @@ def func(indices):
 
 engine = ValuationEngine(
     SubsetUtility(func, 10),
-    checkpoint=CheckpointStore(sys.argv[3], keep_last=3),
+    checkpoint=CheckpointStore(sys.argv[3]),
     resume=True,
 )
 engine.run_permutations(
@@ -269,11 +269,11 @@ def sweep_checkpoint(
         CK_PERMUTATIONS, seed=CK_SEED, check_every=CK_CHECK_EVERY
     )
     cases = []
-    # 6 waves x (primary + archive) = 12 commits; sweep a prefix, plus
-    # always the final primary write — the one fault later waves cannot
-    # overwrite, so it exercises the archive-fallback path.
+    # 6 waves x 1 slot write = 6 commits; sweep a prefix, plus always the
+    # final write — the one fault later waves cannot overwrite, so it
+    # exercises the fallback to the other slot.
     ops = sorted(
-        set(ops if ops is not None else range(12)) | {CK_FINAL_PRIMARY_OP}
+        set(ops if ops is not None else range(6)) | {CK_FINAL_PRIMARY_OP}
     )
     for kind in kinds:
         for op in ops:
@@ -287,16 +287,16 @@ def sweep_checkpoint(
                 failures = []
                 if code not in (0, CRASH_EXIT):
                     failures.append(f"writer died unexpectedly (exit {code})")
-                store = CheckpointStore(ck, keep_last=3)
+                store = CheckpointStore(ck)
                 try:
                     store.load()  # invariant 1: loaders never raise...
                 except Exception as exc:  # noqa: BLE001
                     # ...unless nothing valid was ever written (crash at
                     # the very first commit) — then None/raise is allowed
                     # only when no snapshot file exists at all.
-                    if ck.exists():
+                    if store.exists():
                         failures.append(f"checkpoint load raised: {exc}")
-                resume_store = CheckpointStore(ck, keep_last=3)
+                resume_store = CheckpointStore(ck)
                 resumed = ValuationEngine(
                     _game(), checkpoint=resume_store, resume=True
                 ).run_permutations(
