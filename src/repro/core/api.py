@@ -67,10 +67,8 @@ from ..service import (
     TelemetryServer,
     register_valuation,
 )
-from ..pipeline.execute import PipelineResult, execute
-from ..pipeline.execute import execute_robust as _execute_robust
+from ..pipeline.execute import PipelineResult, execute, execute_robust
 from ..pipeline.operators import Node
-from ..pipeline.resilience import ExecutionPolicy
 from ..pipeline.plan import show_query_plan
 from ..text import TextEmbedder
 from ..uncertainty.symbolic import UncertainDataset, encode_symbolic as _encode_symbolic
@@ -424,40 +422,6 @@ def monitor(bins: int = 10, max_rows: int | None = None) -> PipelineMonitor:
         print(diff.render())
     """
     return PipelineMonitor(bins=bins, max_rows=max_rows)
-
-
-def execute_robust(
-    pipeline_sink: Node,
-    sources: Mapping[str, DataFrame],
-    fit: bool = True,
-    policy: ExecutionPolicy | None = None,
-    monitor: PipelineMonitor | bool | None = None,
-    **policy_overrides: Any,
-) -> PipelineResult:
-    """Run a pipeline with row-level quarantine instead of fail-fast crashes.
-
-    Rows that an operator cannot process (UDF exceptions, poisonous join
-    keys, timeouts, silently corrupted cells) are dropped into
-    ``result.quarantine`` with their why-provenance, so they can be fed
-    straight back into the Identify tooling::
-
-        result = nde.execute_robust(sink, sources)
-        bad_ids = result.quarantine.row_ids("train_df")   # identified errors
-        report = result.quarantine.to_error_report("train_df")
-
-    Keyword overrides (``max_retries=3``, ``timeout=0.5``, ...) are forwarded
-    to :meth:`repro.pipeline.ExecutionPolicy.robust`. ``monitor`` (an
-    :func:`nde.monitor` object, or ``True`` for a default one) streams
-    per-node data-quality profiles into ``result.quality_profiles``.
-    """
-    return _execute_robust(
-        pipeline_sink,
-        sources,
-        fit=fit,
-        policy=policy,
-        monitor=monitor,
-        **policy_overrides,
-    )
 
 
 def datascope(

@@ -281,9 +281,15 @@ class CheckpointStore:
         return payload
 
     def clear(self) -> None:
-        """Remove both slots (e.g. after a run completes)."""
+        """Remove both slots (e.g. after a run completes).
+
+        A slot's ``.corrupt`` sidecar stays as evidence of the damage; the
+        ``.corrupt.lock`` file that guarded its appends holds no data and
+        goes with the slot.
+        """
         for slot in self._slots:
             slot.unlink(missing_ok=True)
+            slot.with_name(f"{slot.name}.corrupt.lock").unlink(missing_ok=True)
         self._newest = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -716,23 +716,32 @@ class ValuationEngine:
         With the engine's ``checkpoint`` set and a ``checkpoint_config``
         identifying the sampling run (the subset-sampling estimators pass
         their own config), evaluated values are snapshotted every
-        ``wave_size`` subsets; ``resume=True`` reloads them into the memo,
-        so a killed run only pays for subsets not yet evaluated and returns
-        values bit-identical to an uninterrupted one.
+        ``wave_size`` subsets. ``resume=True`` takes the values of the first
+        ``completed`` subsets from the snapshot (and puts them in the memo)
+        and starts at that watermark: a killed run only pays for the subsets
+        after it, a finished run returns without a save, and the values are
+        bit-identical to an uninterrupted run's.
         """
         keys = [SubsetCache.key(subset) for subset in subsets]
-        run = None
-        wave = len(keys)
-        if checkpoint_config is not None and self.checkpoint is not None:
-            run = _Checkpointed(self, "subset", checkpoint_config)
-            for key, value in run.snapshot.get("values", []):
-                self.cache.put(tuple(int(i) for i in key), float(value))
-            wave = max(1, int(wave_size))
-        with self._fan_out(min(wave, len(keys))) as pool:
-            if run is None:
+        if checkpoint_config is None or self.checkpoint is None:
+            with self._fan_out(len(keys)) as pool:
                 return self._evaluate_many(keys, pool)
-            out = np.empty(len(keys))
-            for start in range(0, len(keys), wave):
+        run = _Checkpointed(self, "subset", checkpoint_config)
+        wave = max(1, int(wave_size))
+        out = np.empty(len(keys))
+        completed = int(run.snapshot.get("completed", 0))
+        if completed:
+            known = {
+                tuple(int(i) for i in key): float(value)
+                for key, value in run.snapshot["values"]
+            }
+            for key, value in known.items():
+                self.cache.put(key, value)
+            out[:completed] = [known[key] for key in keys[:completed]]
+        if run.snapshot.get("finished"):
+            return out
+        with self._fan_out(min(wave, len(keys) - completed)) as pool:
+            for start in range(completed, len(keys), wave):
                 stop = min(start + wave, len(keys))
                 out[start:stop] = self._evaluate_many(keys[start:stop], pool)
                 # Not from the memo, which a concurrent job may evict.
@@ -744,7 +753,7 @@ class ValuationEngine:
                     n_evaluations=run.n_evaluations(),
                     finished=stop >= len(keys),
                 )
-            return out
+        return out
 
     def _evaluate_many(
         self, keys: Sequence[tuple[int, ...]], pool: WorkerPool | None

@@ -6,12 +6,16 @@ frame. The result bundles the encoded training matrix, labels, pre-encode
 frame, and the output-row-to-source-tuple provenance — everything the
 debugging tools of Section 2.2 consume.
 
-Execution is fail-fast by default (one bad row aborts the run, exactly the
-seed behaviour). Passing an :class:`~repro.pipeline.resilience.ExecutionPolicy`
-— or calling :func:`execute_robust` — turns operator failures into
-quarantined, provenance-attributed rows instead: the executor keeps the
-vectorised fast path and only drops to row-wise evaluation for an operator
-whose whole-frame evaluation raised, so clean data pays nothing.
+Every node runs through one evaluation function per operator kind, under
+the :class:`~repro.pipeline.resilience.ErrorPolicy` that the run's
+:class:`~repro.pipeline.resilience.ExecutionPolicy` resolves for it
+(``ExecutionPolicy()`` when none is given). Execution is fail-fast by
+default: under a fail-fast policy one bad row aborts the run with the
+operator's own exception, after any retries the policy allows. A
+non-fail-fast policy — or :func:`execute_robust` — turns operator failures
+into quarantined, provenance-attributed rows instead: each operator first
+runs over the whole frame and drops to row-wise evaluation only when that
+raises, so clean data pays nothing.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .resilience import (
     ErrorPolicy,
     ExecutionPolicy,
     OperatorError,
+    OperatorTimeoutError,
     Quarantine,
     deviant_cell_positions,
     retry_call,
@@ -117,56 +122,40 @@ class PipelineResult:
 
 
 # ----------------------------------------------------------------------
-# Guard helpers for policy-driven execution
+# Operator evaluation under a policy
 # ----------------------------------------------------------------------
 def _attempt(
     fn: Callable[[], Any], policy: ErrorPolicy
-) -> tuple[bool, Any, BaseException | None, int]:
+) -> tuple[bool, Any, Exception | None, int]:
     """Run ``fn`` under the policy's retry/timeout guards.
 
-    Returns ``(ok, value, error, attempts)`` — never raises, so callers
-    decide between fail-fast re-raise and quarantine.
+    Returns ``(ok, value, error, attempts)``. Under a fail-fast policy the
+    operator's own exception propagates instead; under any other policy the
+    caller quarantines it. Interrupts (``KeyboardInterrupt``,
+    ``SystemExit``, a simulated crash) are not ``Exception``\\ s and always
+    propagate.
     """
     try:
         value, attempts = retry_call(fn, policy)
-        return True, value, None, attempts
-    except BaseException as exc:  # noqa: BLE001 - dispatched by policy
+    except Exception as exc:
+        if policy.is_fail_fast:
+            raise
         attempts = policy.max_retries + 1 if isinstance(exc, policy.retry_on) else 1
         return False, None, exc, attempts
-
-
-def _operator_error(node: Node, error: BaseException) -> OperatorError:
-    wrapped = OperatorError(
-        f"{node.kind} operator #{node.id} ({node.describe()}) failed: {error}",
-        node_id=node.id,
-        node_kind=node.kind,
-        node_label=node.describe(),
-    )
-    wrapped.__cause__ = error
-    return wrapped
+    return True, value, None, attempts
 
 
 def _cells_of(raw: Any, n_rows: int) -> list:
     """Normalise a map-UDF result into a list of ``n_rows`` cells."""
     from ..frame.column import Column
 
-    if isinstance(raw, Column):
-        cells = raw.to_list()
-    elif isinstance(raw, np.ndarray):
-        cells = list(raw)
-    else:
-        cells = list(raw)
+    cells = raw.to_list() if isinstance(raw, Column) else list(raw)
     if len(cells) != n_rows:
         raise ValueError(f"map produced {len(cells)} cells, expected {n_rows}")
     return cells
 
 
-def _scalar(raw: Any) -> Any:
-    """Extract the single cell from a map-UDF result over a one-row frame."""
-    return _cells_of(raw, 1)[0]
-
-
-def _node_span(node: Node, rows_in: int | None = None):
+def _node_span(node: Node, rows_in: int | None):
     """Span for one operator evaluation; inputs are computed *before* the
     span opens, so a node's duration is its own work, not its subtree's.
 
@@ -181,39 +170,11 @@ def _node_span(node: Node, rows_in: int | None = None):
     return _obs.span(f"node.{node.kind}#{node.id}", **attrs)
 
 
-def _monitor_clock(monitor: PipelineMonitor | None) -> float:
-    """Timestamp for per-node monitor timing; 0.0 (no clock read) when off."""
-    return time.perf_counter() if monitor is not None else 0.0
+def _reason_for(error: Exception) -> str:
+    return "timeout" if isinstance(error, OperatorTimeoutError) else "error"
 
 
-def _monitor_observe(
-    monitor: PipelineMonitor | None,
-    node: Node,
-    rows_in: int,
-    frame: DataFrame,
-    t0: float,
-) -> None:
-    """Fold a node's output frame into the monitor *after* its span closed.
-
-    The elapsed time is taken before profiling starts, so the monitor's own
-    cost is excluded from the node latency it records — and observation
-    happens strictly after the node's result exists, so monitoring can
-    never change what the pipeline computes.
-    """
-    if monitor is not None:
-        monitor.observe_node(node, rows_in, frame, time.perf_counter() - t0)
-
-
-_TIMEOUT_REASON = {True: "timeout", False: "error"}
-
-
-def _reason_for(error: BaseException) -> str:
-    from .resilience import OperatorTimeoutError
-
-    return _TIMEOUT_REASON[isinstance(error, OperatorTimeoutError)]
-
-
-def _run_map_guarded(
+def _map(
     node: MapNode,
     frame: DataFrame,
     prov: Provenance,
@@ -221,14 +182,10 @@ def _run_map_guarded(
     quarantine: Quarantine,
 ) -> tuple[DataFrame, Provenance]:
     n = frame.num_rows
-    ok, raw, error, attempts = _attempt(lambda: node.func(frame), policy)
-    if not ok and policy.is_fail_fast:
-        raise _operator_error(node, error)
-
-    failures: dict[int, tuple[BaseException | None, str, int]] = {}
-    if ok:
-        cells = _cells_of(raw, n)
-    else:
+    ok, raw, __, __ = _attempt(lambda: node.func(frame), policy)
+    guard_types = policy.guard_types and not policy.is_fail_fast
+    failures: dict[int, tuple[Exception, str, int]] = {}
+    if not ok:
         # Whole-frame evaluation failed: isolate the poisonous rows by
         # re-evaluating the UDF over one-row frames.
         cells = [None] * n
@@ -238,16 +195,16 @@ def _run_map_guarded(
                 lambda rf=row_frame: node.func(rf), policy
             )
             if ok_i:
-                cells[pos] = _scalar(raw_i)
+                cells[pos] = _cells_of(raw_i, 1)[0]
             else:
                 failures[pos] = (err_i, _reason_for(err_i), att_i)
-
-    if policy.guard_types:
+    elif guard_types:
+        cells = _cells_of(raw, n)
+    if guard_types:
         healthy = [
             (pos, cell) for pos, cell in enumerate(cells) if pos not in failures
         ]
-        deviants = deviant_cell_positions([cell for __, cell in healthy])
-        for d in deviants:
+        for d in deviant_cell_positions([cell for __, cell in healthy]):
             pos = healthy[int(d)][0]
             failures[pos] = (
                 TypeError(f"cell type deviates from column majority: {cells[pos]!r}"),
@@ -256,14 +213,10 @@ def _run_map_guarded(
             )
 
     if not failures:
-        if ok:
-            # Clean vectorised run: hand the raw result straight to the
-            # frame so dtype behaviour matches fail-fast execution exactly.
-            out = frame.copy()
-            out[node.name] = raw
-            return out, prov
         out = frame.copy()
-        out[node.name] = cells
+        # A whole-frame result goes to the frame as the UDF returned it, so
+        # its dtype is the same under every policy.
+        out[node.name] = raw if ok else cells
         return out, prov
 
     substitute = policy.keeps_row_on_error
@@ -286,7 +239,7 @@ def _run_map_guarded(
     return out, prov.take(positions)
 
 
-def _run_filter_guarded(
+def _filter(
     node: FilterNode,
     frame: DataFrame,
     prov: Provenance,
@@ -294,11 +247,9 @@ def _run_filter_guarded(
     quarantine: Quarantine,
 ) -> tuple[DataFrame, Provenance]:
     n = frame.num_rows
-    ok, raw, error, __ = _attempt(lambda: node.predicate(frame), policy)
+    ok, raw, __, __ = _attempt(lambda: node.predicate(frame), policy)
     if ok:
         mask = np.asarray(raw, dtype=bool)
-    elif policy.is_fail_fast:
-        raise _operator_error(node, error)
     else:
         mask = np.zeros(n, dtype=bool)
         for pos in range(n):
@@ -319,7 +270,7 @@ def _run_filter_guarded(
     return frame.take(positions), prov.take(positions)
 
 
-def _join(
+def _join_inputs(
     node: JoinNode,
     left: tuple[DataFrame, Provenance],
     right: tuple[DataFrame, Provenance],
@@ -337,18 +288,16 @@ def _join(
     return out, Provenance.join(left_prov, lpos, right_prov, rpos)
 
 
-def _run_join_guarded(
+def _join(
     node: JoinNode,
     left: tuple[DataFrame, Provenance],
     right: tuple[DataFrame, Provenance],
     policy: ErrorPolicy,
     quarantine: Quarantine,
 ) -> tuple[DataFrame, Provenance]:
-    ok, value, error, __ = _attempt(lambda: _join(node, left, right), policy)
+    ok, value, __, __ = _attempt(lambda: _join_inputs(node, left, right), policy)
     if ok:
         return value
-    if policy.is_fail_fast:
-        raise _operator_error(node, error)
 
     # Row-wise fallback: join each left row separately so one poisonous key
     # cannot take down the rest of the batch. (A join has no sensible
@@ -359,7 +308,7 @@ def _run_join_guarded(
     for pos in range(left_frame.num_rows):
         single = (left_frame.take([pos]), left_prov.take([pos]))
         ok_i, value_i, err_i, att_i = _attempt(
-            lambda s=single: _join(node, s, right), policy
+            lambda s=single: _join_inputs(node, s, right), policy
         )
         if ok_i:
             out_i, prov_i = value_i
@@ -373,106 +322,13 @@ def _run_join_guarded(
             )
     if not frames:
         no_rows = np.empty(0, dtype=np.int64)
-        return _join(node, (left_frame.take(no_rows), left_prov.take(no_rows)), right)
+        return _join_inputs(
+            node, (left_frame.take(no_rows), left_prov.take(no_rows)), right
+        )
     return DataFrame.concat_rows(frames), Provenance.concat(provs)
 
 
-def _run_node(
-    node: Node,
-    sources: Mapping[str, DataFrame],
-    fit: bool,
-    cache: dict[int, tuple[DataFrame, Provenance]],
-    policy: ExecutionPolicy | None = None,
-    quarantine: Quarantine | None = None,
-    monitor: PipelineMonitor | None = None,
-) -> tuple[DataFrame, Provenance]:
-    if node.id in cache:
-        if _obs.enabled():
-            _obs_metrics.counter("pipeline.node_cache.hits").inc()
-        return cache[node.id]
-
-    node_policy = policy.resolve(node) if policy is not None else None
-    # "Strict" means the seed code path: plain fail-fast with no guards.
-    strict = node_policy is None or (
-        node_policy.is_fail_fast
-        and node_policy.max_retries == 0
-        and node_policy.timeout is None
-    )
-
-    if isinstance(node, SourceNode):
-        if node.name not in sources:
-            raise KeyError(
-                f"no input bound for source {node.name!r}; have {sorted(sources)}"
-            )
-        t0 = _monitor_clock(monitor)
-        with _node_span(node) as sp:
-            frame = sources[node.name]
-            result = (frame, Provenance.for_source(node.name, frame.row_ids))
-            sp.set(rows_out=frame.num_rows)
-        _monitor_observe(monitor, node, frame.num_rows, result[0], t0)
-    elif isinstance(node, JoinNode):
-        left = _run_node(
-            node.inputs[0], sources, fit, cache, policy, quarantine, monitor
-        )
-        right = _run_node(
-            node.inputs[1], sources, fit, cache, policy, quarantine, monitor
-        )
-        t0 = _monitor_clock(monitor)
-        with _node_span(node, rows_in=left[0].num_rows) as sp:
-            if strict:
-                result = _join(node, left, right)
-            else:
-                result = _run_join_guarded(node, left, right, node_policy, quarantine)
-            sp.set(rows_out=result[0].num_rows)
-        _monitor_observe(monitor, node, left[0].num_rows, result[0], t0)
-    elif isinstance(node, FilterNode):
-        frame, prov = _run_node(
-            node.inputs[0], sources, fit, cache, policy, quarantine, monitor
-        )
-        t0 = _monitor_clock(monitor)
-        with _node_span(node, rows_in=frame.num_rows) as sp:
-            if strict:
-                mask = np.asarray(node.predicate(frame), dtype=bool)
-                positions = np.flatnonzero(mask)
-                result = (frame.take(positions), prov.take(positions))
-            else:
-                result = _run_filter_guarded(node, frame, prov, node_policy, quarantine)
-            sp.set(rows_out=result[0].num_rows)
-        _monitor_observe(monitor, node, frame.num_rows, result[0], t0)
-    elif isinstance(node, MapNode):
-        frame, prov = _run_node(
-            node.inputs[0], sources, fit, cache, policy, quarantine, monitor
-        )
-        t0 = _monitor_clock(monitor)
-        with _node_span(node, rows_in=frame.num_rows) as sp:
-            if strict:
-                out = frame.copy()
-                out[node.name] = node.func(frame)
-                result = (out, prov)
-            else:
-                result = _run_map_guarded(node, frame, prov, node_policy, quarantine)
-            sp.set(rows_out=result[0].num_rows)
-        _monitor_observe(monitor, node, frame.num_rows, result[0], t0)
-    elif isinstance(node, ProjectNode):
-        frame, prov = _run_node(
-            node.inputs[0], sources, fit, cache, policy, quarantine, monitor
-        )
-        t0 = _monitor_clock(monitor)
-        with _node_span(node, rows_in=frame.num_rows) as sp:
-            result = (frame.select(node.columns), prov)
-            sp.set(rows_out=result[0].num_rows)
-        _monitor_observe(monitor, node, frame.num_rows, result[0], t0)
-    elif isinstance(node, EncodeNode):
-        # Handled by the caller (needs to produce X/y, not a frame).
-        raise TypeError("EncodeNode must be the sink; execute() handles it")
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown node type: {type(node).__name__}")
-
-    cache[node.id] = result
-    return result
-
-
-def _encode_guarded(
+def _encode(
     sink: EncodeNode,
     frame: DataFrame,
     prov: Provenance,
@@ -480,9 +336,11 @@ def _encode_guarded(
     policy: ErrorPolicy,
     quarantine: Quarantine,
 ) -> tuple[DataFrame, Provenance, np.ndarray]:
-    """Encode under a policy: quarantine missing labels and (optionally)
-    rows whose encoded features come out non-finite."""
-    if not policy.is_fail_fast:
+    """Encode; a non-fail-fast policy quarantines rows with a missing label
+    and (with ``guard_nonfinite``) rows whose encoded features are not
+    finite."""
+    guarded = not policy.is_fail_fast
+    if guarded:
         label_mask = frame.column(sink.label_column).isnull()
         if label_mask.any():
             for pos in np.flatnonzero(label_mask):
@@ -490,17 +348,19 @@ def _encode_guarded(
             keep = np.flatnonzero(~label_mask)
             frame, prov = frame.take(keep), prov.take(keep)
 
-    encode = (
-        (lambda: sink.encoder.fit_transform(frame))
-        if fit
-        else (lambda: sink.encoder.transform(frame))
-    )
-    ok, X, error, __ = _attempt(encode, policy)
+    encode = sink.encoder.fit_transform if fit else sink.encoder.transform
+    ok, X, error, __ = _attempt(lambda: encode(frame), policy)
     if not ok:
-        if policy.is_fail_fast or fit:
+        if fit:
             # A failed *fit* cannot be attributed row-wise (the encoder needs
             # the full column to fit at all) — surface it with node context.
-            raise _operator_error(sink, error)
+            raise OperatorError(
+                f"{sink.kind} operator #{sink.id} ({sink.describe()}) failed: "
+                f"{error}",
+                node_id=sink.id,
+                node_kind=sink.kind,
+                node_label=sink.describe(),
+            ) from error
         # fit=False: transform row-by-row, quarantining the rows that fail.
         keep: list[int] = []
         blocks: list[np.ndarray] = []
@@ -523,7 +383,7 @@ def _encode_guarded(
         X = np.vstack(blocks) if blocks else np.empty((0, width))
 
     X = np.asarray(X, dtype=float)
-    if not policy.is_fail_fast and policy.guard_nonfinite and X.size:
+    if guarded and policy.guard_nonfinite and X.size:
         bad = ~np.isfinite(X).all(axis=1)
         if bad.any():
             for pos in np.flatnonzero(bad):
@@ -536,6 +396,75 @@ def _encode_guarded(
             keep = np.flatnonzero(~bad)
             frame, prov, X = frame.take(keep), prov.take(keep), X[keep]
     return frame, prov, X
+
+
+@dataclass
+class _Run:
+    """What one :func:`execute` call threads through the operator DAG."""
+
+    sources: Mapping[str, DataFrame]
+    fit: bool
+    cache: dict[int, tuple[DataFrame, Provenance]]
+    policy: ExecutionPolicy
+    monitor: PipelineMonitor | None
+    quarantine: Quarantine = field(default_factory=Quarantine)
+
+    def output(self, node: Node) -> tuple[DataFrame, Provenance]:
+        """A non-sink node's result: from the cache, or evaluated and cached."""
+        if node.id in self.cache:
+            if _obs.enabled():
+                _obs_metrics.counter("pipeline.node_cache.hits").inc()
+            return self.cache[node.id]
+        if isinstance(node, EncodeNode):
+            raise TypeError("EncodeNode must be the sink of a pipeline")
+        self.cache[node.id] = self.evaluate(node)
+        return self.cache[node.id]
+
+    def evaluate(self, node: Node) -> tuple:
+        """Evaluate one operator over its inputs' results, in its own span.
+
+        The monitor folds the node's output frame in *after* the span
+        closed, timed before profiling starts, so its cost is excluded from
+        the node latency it records and it can never change what the
+        pipeline computes.
+        """
+        inputs = [self.output(parent) for parent in node.inputs]
+        rows_in = inputs[0][0].num_rows if inputs else None
+        t0 = time.perf_counter() if self.monitor is not None else 0.0
+        with _node_span(node, rows_in) as sp:
+            result = self._apply(node, inputs, self.policy.resolve(node))
+            sp.set(rows_out=result[0].num_rows)
+        if self.monitor is not None:
+            frame = result[0]
+            self.monitor.observe_node(
+                node,
+                frame.num_rows if rows_in is None else rows_in,
+                frame,
+                time.perf_counter() - t0,
+            )
+        return result
+
+    def _apply(self, node: Node, inputs: list, policy: ErrorPolicy) -> tuple:
+        if isinstance(node, SourceNode):
+            if node.name not in self.sources:
+                raise KeyError(
+                    f"no input bound for source {node.name!r}; "
+                    f"have {sorted(self.sources)}"
+                )
+            frame = self.sources[node.name]
+            return frame, Provenance.for_source(node.name, frame.row_ids)
+        if isinstance(node, JoinNode):
+            return _join(node, inputs[0], inputs[1], policy, self.quarantine)
+        frame, prov = inputs[0]
+        if isinstance(node, FilterNode):
+            return _filter(node, frame, prov, policy, self.quarantine)
+        if isinstance(node, MapNode):
+            return _map(node, frame, prov, policy, self.quarantine)
+        if isinstance(node, ProjectNode):
+            return frame.select(node.columns), prov
+        if isinstance(node, EncodeNode):
+            return _encode(node, frame, prov, self.fit, policy, self.quarantine)
+        raise TypeError(f"unknown node type: {type(node).__name__}")  # pragma: no cover
 
 
 def execute(
@@ -558,15 +487,18 @@ def execute(
         Optional node-result cache keyed by node id. Passing the same dict
         across several ``execute`` calls shares the work of common subplans —
         the mechanism behind what-if analysis (:mod:`repro.pipeline.whatif`).
-        Only valid when the calls bind the *same* source frames (and, when a
-        policy is given, the same policy).
+        Only valid when the calls bind the *same* source frames and policy.
     policy:
-        Optional :class:`~repro.pipeline.resilience.ExecutionPolicy`. When
-        omitted (or when every node resolves to a bare fail-fast policy)
-        execution follows the seed fail-fast code path exactly. Under a
-        non-fail-fast policy, rows an operator cannot process are dropped
-        into ``result.quarantine`` (or patched with the policy's default)
-        instead of aborting the run.
+        The :class:`~repro.pipeline.resilience.ExecutionPolicy` every node
+        runs under; ``None`` means ``ExecutionPolicy()``, fail-fast at every
+        node. A node under a fail-fast policy re-raises its operator's own
+        exception, once the policy's retries are spent. Under a non-fail-fast
+        policy, rows an operator cannot process are dropped into
+        ``result.quarantine`` (or patched with the policy's default) instead
+        of aborting the run, and the map type guard and the encode label and
+        non-finite guards run. The one failure no row-wise fallback can
+        absorb, a failed encoder fit, raises
+        :class:`~repro.pipeline.resilience.OperatorError` there.
     monitor:
         Optional :class:`~repro.obs.quality.PipelineMonitor` (or ``True``
         for a throwaway instance). Every node then emits a
@@ -576,56 +508,37 @@ def execute(
         which streams across runs that share it). Monitoring observes node
         outputs after the fact and never changes what is computed.
     """
-    if cache is None:
-        cache = {}
+    if policy is None:
+        policy = ExecutionPolicy()
     if monitor is True:
         monitor = PipelineMonitor()
     elif monitor is False:
         monitor = None
-    quarantine = Quarantine()
-    with _obs.span("pipeline.execute", fit=fit, robust=policy is not None) as root:
+    run = _Run(sources, fit, {} if cache is None else cache, policy, monitor)
+    policies = (policy.default, *policy.per_kind.values(), *policy.per_node.values())
+    robust = not all(p.is_fail_fast for p in policies)
+    with _obs.span("pipeline.execute", fit=fit, robust=robust) as root:
+        X = y = None
         if isinstance(sink, EncodeNode):
-            frame, prov = _run_node(
-                sink.inputs[0], sources, fit, cache, policy, quarantine, monitor
-            )
-            sink_policy = policy.resolve(sink) if policy is not None else None
-            rows_in = frame.num_rows
-            t0 = _monitor_clock(monitor)
-            with _node_span(sink, rows_in=rows_in) as sp:
-                if sink_policy is None:
-                    if fit:
-                        X = sink.encoder.fit_transform(frame)
-                    else:
-                        X = sink.encoder.transform(frame)
-                else:
-                    frame, prov, X = _encode_guarded(
-                        sink, frame, prov, fit, sink_policy, quarantine
-                    )
-                sp.set(rows_out=frame.num_rows)
-            _monitor_observe(monitor, sink, rows_in, frame, t0)
+            frame, prov, X = run.evaluate(sink)
             y = np.asarray(frame.column(sink.label_column).to_list())
-            result = PipelineResult(
-                frame=frame, provenance=prov, sink=sink, X=X, y=y,
-                quarantine=quarantine,
-            )
         else:
-            frame, prov = _run_node(
-                sink, sources, fit, cache, policy, quarantine, monitor
-            )
-            result = PipelineResult(
-                frame=frame, provenance=prov, sink=sink, quarantine=quarantine
-            )
+            frame, prov = run.output(sink)
+        result = PipelineResult(
+            frame=frame, provenance=prov, sink=sink, X=X, y=y,
+            quarantine=run.quarantine,
+        )
         reachable = {node.id for node in sink.plan.topological_order(sink)}
         result.intermediates = {
-            nid: len(entry[1]) for nid, entry in cache.items() if nid in reachable
+            nid: len(entry[1]) for nid, entry in run.cache.items() if nid in reachable
         }
-        if monitor is not None:
-            result.quality_profiles = monitor.profiles()
+        if run.monitor is not None:
+            result.quality_profiles = run.monitor.profiles()
         if _obs.enabled():
-            root.set(rows_out=result.n_rows, quarantined=len(quarantine))
+            root.set(rows_out=result.n_rows, quarantined=len(run.quarantine))
             _obs_metrics.counter("pipeline.runs").inc()
             _obs_metrics.counter("pipeline.rows_out").inc(result.n_rows)
-            if monitor is not None:
+            if run.monitor is not None:
                 _obs_metrics.counter("pipeline.monitored_runs").inc()
     return result
 
@@ -641,11 +554,19 @@ def execute_robust(
     """Run a pipeline with row-level quarantine instead of fail-fast crashes.
 
     Equivalent to ``execute(sink, sources, fit, policy=ExecutionPolicy.robust())``
-    — every operator skips-and-quarantines rows it cannot process, retrying
-    transient failures once. Keyword overrides are forwarded to
-    :meth:`ExecutionPolicy.robust` (e.g. ``max_retries=3, timeout=0.5``).
-    ``monitor`` attaches per-node data-quality profiling exactly as in
-    :func:`execute`.
+    — every operator skips-and-quarantines rows it cannot process (UDF
+    exceptions, poisonous join keys, timeouts, silently corrupted cells),
+    retrying transient failures once. Each quarantined row keeps its
+    why-provenance, so it feeds straight back into the Identify tooling::
+
+        result = nde.execute_robust(sink, sources)
+        bad_ids = result.quarantine.row_ids("train_df")   # identified errors
+        report = result.quarantine.to_error_report("train_df")
+
+    Keyword overrides are forwarded to :meth:`ExecutionPolicy.robust` (e.g.
+    ``max_retries=3, timeout=0.5``). ``monitor`` (an ``nde.monitor()``
+    object, or ``True`` for a default one) streams per-node data-quality
+    profiles into ``result.quality_profiles``, exactly as in :func:`execute`.
     """
     if policy is None:
         policy = ExecutionPolicy.robust(**policy_overrides)

@@ -1,17 +1,20 @@
 """Fault-tolerant pipeline execution: policies, guards, and quarantine.
 
-The seed executor is strictly fail-fast: one malformed row inside a UDF (or
-one poisonous join key) aborts the whole run with a raw traceback and no
-record of which source tuples were responsible. This module supplies the
-primitives that :func:`repro.pipeline.execute.execute` uses to turn those
-crashes into a first-class, provenance-attributed signal:
+:func:`repro.pipeline.execute.execute` runs every node under an
+:class:`ErrorPolicy`, through one evaluation function per operator kind.
+The default policy is fail-fast: one malformed row inside a UDF (or one
+poisonous join key) aborts the whole run with the operator's own exception
+and no record of which source tuples were responsible. This module supplies
+the primitives that turn those crashes into a first-class,
+provenance-attributed signal instead:
 
 - :class:`ErrorPolicy` — what to do when an operator fails on a row
   (``fail_fast`` | ``skip_and_quarantine`` | ``substitute_default``), plus
   retry-with-backoff for transient failures and a wall-clock timeout guard;
+  both guards apply under every mode;
 - :class:`ExecutionPolicy` — per-node / per-kind policy resolution with a
-  default, so one pipeline can e.g. quarantine around UDFs but stay strict
-  at the encode boundary;
+  default, so one pipeline can e.g. quarantine around UDFs but stay
+  fail-fast at the encode boundary;
 - :class:`Quarantine` — the record of every dropped row, carrying its
   why-provenance so quarantined rows feed straight into
   :mod:`repro.importance` / :class:`repro.errors.ErrorReport` consumers as
@@ -19,7 +22,11 @@ crashes into a first-class, provenance-attributed signal:
 
 Under a non-fail-fast policy the executor keeps the vectorised fast path:
 it first evaluates the operator over the whole frame and only falls back to
-row-wise evaluation when that raises, so clean data pays nothing.
+row-wise evaluation when that raises, so clean data pays nothing. The
+output guards (the map cell-type check and the encode label and non-finite
+checks) also run only under a non-fail-fast policy. :class:`OperatorError`
+is raised only where no row-wise fallback exists: a failed encoder fit
+under a non-fail-fast policy.
 """
 
 from __future__ import annotations
@@ -85,10 +92,11 @@ class ErrorPolicy:
     Attributes
     ----------
     on_error:
-        ``fail_fast`` re-raises (the seed behaviour), ``skip_and_quarantine``
-        drops the offending rows into the run's :class:`Quarantine`, and
-        ``substitute_default`` keeps the rows with :attr:`default` standing
-        in for the value the operator could not produce.
+        ``fail_fast`` re-raises the operator's own exception (the
+        default), ``skip_and_quarantine`` drops the offending rows into the
+        run's :class:`Quarantine`, and ``substitute_default`` keeps the rows
+        with :attr:`default` standing in for the value the operator could
+        not produce.
     default:
         Substitute value. For filters its truthiness decides whether the
         row survives; for maps it becomes the output cell.

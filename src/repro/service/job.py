@@ -200,7 +200,11 @@ class Job:
         return self.state in TERMINAL_STATES
 
     def transition(self, state: JobState) -> None:
-        """Move to ``state``; terminal states resolve all waiters."""
+        """Move to ``state``; terminal states resolve all waiters.
+
+        A terminal state stamps :attr:`finished_at` unless the caller did
+        already, as the runtime does to journal the final latency first.
+        """
         if self.done:
             raise RuntimeError(
                 f"job {self.job_id} is already terminal ({self.state.value})"
@@ -209,7 +213,8 @@ class Job:
         if state is JobState.RUNNING and self.started_at is None:
             self.started_at = time.time()
         if self.done:
-            self.finished_at = time.time()
+            if self.finished_at is None:
+                self.finished_at = time.time()
             self._done.set()
             for queue in self._streams:
                 queue.put_nowait(None)  # sentinel: stream closed

@@ -1,9 +1,10 @@
 """Durable, crash-safe job journal (append-only JSONL).
 
 The journal is the service's write-ahead log: every lifecycle edge of every
-job — submission (with the full JSON request), admission, start, progress
-watermarks, retries, and the terminal state — is appended *before* the
-in-memory state moves on. Appends go through
+job — submission (with the full JSON request), admission, start, retries,
+and the terminal state — is appended *before* the in-memory state moves on.
+Per-wave progress is not journaled: the engine checkpoint saved at each
+wave already holds the watermark durably. Appends go through
 :func:`repro.obs.atomicio.atomic_append_line`: in place, under the
 cross-process advisory lock, fsync'd before the call returns. Concurrent
 writers (a second runtime sharing the journal directory) cannot
@@ -16,7 +17,8 @@ acknowledged record is ever lost.
 exactly the jobs a restarted runtime must recover: their requests are
 reconstructed from the submission record and re-enqueued, and their engine
 checkpoints (keyed by the stable job id) take over from the last durable
-watermark.
+watermark. Replay ignores events it does not fold, so journals written
+while ``"progress"`` records were still appended replay unchanged.
 
 Records are schema-versioned and CRC-framed (:func:`repro.obs.atomicio.
 frame_line`); loading is lenient but loud — unknown fields are ignored, v1
@@ -75,9 +77,7 @@ class JournalEntry:
     state: str = JobState.SUBMITTED.value
     submitted_at: float = 0.0
     attempts: int = 0
-    progress_completed: int = 0
     result_summary: dict[str, Any] = field(default_factory=dict)
-    events: list[str] = field(default_factory=list)
 
     @property
     def terminal(self) -> bool:
@@ -148,7 +148,6 @@ class JobJournal:
             event = str(record["event"])
             payload = record.get("payload") or {}
             entry = entries.setdefault(job_id, JournalEntry(job_id=job_id))
-            entry.events.append(event)
             if event == "submitted":
                 try:
                     entry.request = JobRequest.from_dict(
@@ -160,17 +159,14 @@ class JobJournal:
             elif event == "started":
                 entry.attempts = int(payload.get("attempt", entry.attempts)) + 1
                 entry.state = JobState.RUNNING.value
-            elif event == "progress":
-                entry.progress_completed = int(
-                    payload.get("completed", entry.progress_completed)
-                )
             elif event == "queued":
                 entry.state = JobState.QUEUED.value
             elif event in _TERMINAL_EVENTS:
                 entry.state = event
                 entry.result_summary = dict(payload)
-            # "retrying", "deduplicated", "recovered", ... only append to
-            # entry.events — the next started/terminal event carries state.
+            # "retrying", "deduplicated", "recovered", and the "progress"
+            # records of older journals, change nothing: the next
+            # started/terminal event carries state.
         return entries
 
     def in_flight(self) -> list[JournalEntry]:

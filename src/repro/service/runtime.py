@@ -108,9 +108,8 @@ class JobContext:
     def progress(self, snapshot: Mapping[str, Any]) -> None:
         """Publish one progress snapshot to every subscriber (thread-safe).
 
-        Also journals the durable watermark (``completed``/``target``
-        scalars only — never the value arrays) so a restarted runtime
-        knows how far the job had advanced.
+        Nothing is journaled: the engine checkpoint saved at the same wave
+        holds the durable watermark a restarted runtime resumes from.
         """
         self._runtime._publish_progress(self._job, dict(snapshot))
 
@@ -565,15 +564,6 @@ class JobRuntime:
 
     def _publish_progress(self, job: Job, snapshot: dict) -> None:
         """Thread-safe bridge from handler threads into the event loop."""
-        self._journal(
-            "progress",
-            job.job_id,
-            {
-                "completed": int(snapshot.get("completed", 0)),
-                "target": int(snapshot.get("target", 0)),
-                "n_evaluations": int(snapshot.get("n_evaluations", 0)),
-            },
-        )
         try:
             in_loop = asyncio.get_running_loop() is self._loop
         except RuntimeError:
@@ -600,7 +590,11 @@ class JobRuntime:
         key = job.request.dedup_key()
         if self._active_by_key.get(key) is job:
             self._active_by_key.pop(key, None)
-        self._journal(state.value, job.job_id, job.summary())
+        # Stamp the end first, so the terminal record is durable before the
+        # waiters wake and carries what they will read: the terminal state
+        # and the final latency.
+        job.finished_at = time.time()
+        self._journal(state.value, job.job_id, {**job.summary(), "state": state.value})
         job.transition(state)
         self.counts[state.value] += 1
         self._metric(f"service.{state.value}")

@@ -444,6 +444,43 @@ class TestSubsetResume:
                 saturating_game(), n_samples=21, seed=2, checkpoint=ck, resume=True
             )
 
+    #: 30 distinct subsets, so no value can come from the memo.
+    DISTINCT = [[j for j in range(10) if (i >> j) & 1] for i in range(1, 31)]
+
+    def test_finished_resume_makes_no_save_and_no_evaluation(self, tmp_path):
+        ck = tmp_path / "ck.json"
+        config = {"estimator": "test", "n": 10}
+        full = ValuationEngine(saturating_game(10), checkpoint=ck).evaluate_many(
+            self.DISTINCT, checkpoint_config=config, wave_size=4
+        )
+        game = saturating_game(10)
+        hooks = CountingHooks()
+        with io_hooks(hooks):
+            resumed = ValuationEngine(
+                game, checkpoint=ck, resume=True
+            ).evaluate_many(self.DISTINCT, checkpoint_config=config, wave_size=4)
+        assert hooks.published == []
+        assert game.n_evaluations == 0
+        assert np.array_equal(resumed, full)
+
+    @pytest.mark.parametrize("saves", [1, 3, 7])
+    def test_resume_evaluates_only_past_the_watermark(self, tmp_path, saves):
+        ck = tmp_path / "ck.json"
+        config = {"estimator": "test", "n": 10}
+        full = ValuationEngine(saturating_game(10)).evaluate_many(self.DISTINCT)
+        with pytest.raises(Killed):
+            ValuationEngine(
+                saturating_game(10), checkpoint=KilledAfter(ck, saves)
+            ).evaluate_many(self.DISTINCT, checkpoint_config=config, wave_size=4)
+        completed = CheckpointStore(ck).load()["completed"]
+        assert completed == 4 * saves
+        game = saturating_game(10)
+        resumed = ValuationEngine(
+            game, cache_size=0, checkpoint=ck, resume=True
+        ).evaluate_many(self.DISTINCT, checkpoint_config=config, wave_size=4)
+        assert game.n_evaluations == len(self.DISTINCT) - completed
+        assert np.array_equal(resumed, full)
+
 
 # ---------------------------------------------------------------------- #
 # zero budgets and progress snapshots (service-layer contracts)          #
@@ -640,6 +677,14 @@ class TestCorruptionFallback:
         assert report.clean
         assert records[0]["kind"] == "quarantined_record"
         assert records[0]["raw"] == "{bit rot"
+
+    def test_clear_keeps_only_the_quarantine_sidecar(self, tmp_path):
+        store = self._populate(tmp_path)
+        store.path.write_text("{bit rot")
+        assert store.load()["completed"] == 20
+        assert (tmp_path / "ck.json.corrupt.lock").exists()
+        store.clear()
+        assert [path.name for path in tmp_path.iterdir()] == ["ck.json.corrupt"]
 
     def test_raises_original_error_when_no_archive_survives(self, tmp_path):
         """With both slots damaged every load raises, and both files stay."""
