@@ -152,7 +152,8 @@ def test_fig3_pipeline_debugging(benchmark, write_report):
 
 # ---------------------------------------------------------------------------
 # Experiment F3-exact — exact PTIME valuation vs Monte-Carlo over the same
-# pipeline. Smoke sizes via REPRO_BENCH_EXACT_N / REPRO_BENCH_EXACT_PERMS.
+# pipeline. Smoke sizes via REPRO_BENCH_EXACT_N / REPRO_BENCH_EXACT_PERMS,
+# reported to exact_knn_smoke.{txt,json} instead of exact_knn.{txt,json}.
 # ---------------------------------------------------------------------------
 EXACT_N = int(os.environ.get("REPRO_BENCH_EXACT_N", "600"))
 EXACT_PERMS = int(os.environ.get("REPRO_BENCH_EXACT_PERMS", "8"))
@@ -267,7 +268,10 @@ def test_fig3_exact_vs_mc(benchmark, write_report):
              "value": f"{result['bottom_k_overlap_mc_vs_mc']:.2f}"},
         ]
     )
-    write_report("exact_knn", table, records=result)
+    # Smoke sizes write their own, untracked files: the committed pair
+    # holds the default-size numbers.
+    name = "exact_knn_smoke" if EXACT_SMOKE else "exact_knn"
+    write_report(name, table, records=result)
 
     # Exact is a compile + closed form; MC retrains per marginal. The gap
     # must be wide even on throttled CI hardware — but smoke sizes shrink

@@ -212,15 +212,6 @@ class ChaosMonkey:
                 return kind
         return None
 
-    def planned_faults(self, op_index: int, row_ids: Any) -> dict[str, list[int]]:
-        """Expected faults for an operator over the given row ids."""
-        out: dict[str, list[int]] = {}
-        for rid in np.asarray(row_ids).tolist():
-            kind = self.decide(op_index, rid)
-            if kind is not None:
-                out.setdefault(kind, []).append(int(rid))
-        return out
-
     def triggered_row_ids(self, kinds: Sequence[str] | None = None) -> set[int]:
         """Row ids of faults that actually fired (optionally by kind)."""
         wanted = set(kinds) if kinds is not None else None

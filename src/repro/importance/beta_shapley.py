@@ -15,6 +15,7 @@ import numpy as np
 
 from .base import ImportanceResult
 from .engine import DEFAULT_CACHE_SIZE, ValuationEngine
+from .shapley import permutation_result
 from .utility import Utility
 
 __all__ = ["beta_shapley_mc", "beta_weights"]
@@ -101,23 +102,12 @@ def beta_shapley_mc(
         deadline_s=deadline_s,
         max_evals=max_evals,
     )
-    result = engine.result_from_run(run, n_permutations)
-    return ImportanceResult(
-        method=f"beta_shapley({alpha:g},{beta:g})",
-        values=run.values(),
-        extras={
-            "alpha": alpha,
-            "beta": beta,
-            "n_permutations": n_permutations,
-            "n_permutations_run": run.n_permutations,
-            "truncated_scans": run.truncated_scans,
-            "stopped_early": run.stopped_early,
-            "max_stderr": run.max_stderr,
-            "antithetic": antithetic,
-            "converged": result.converged,
-            "stop_reason": result.stop_reason,
-            "stderr": result.stderr,
-            "census": result.census,
-            **engine.stats(),
-        },
+    return permutation_result(
+        f"beta_shapley({alpha:g},{beta:g})",
+        engine,
+        run,
+        n_permutations,
+        alpha=alpha,
+        beta=beta,
+        antithetic=antithetic,
     )

@@ -274,6 +274,9 @@ class PermutationRun:
     permutations each point was credited in (every scanned permutation
     credits every point — truncated tails are credited zero, exactly like
     the legacy estimators).
+
+    :meth:`census` is the one record of how the run went; the run's span,
+    its ledger event and the estimators' ``extras`` all serialise it.
     """
 
     totals: np.ndarray
@@ -281,13 +284,33 @@ class PermutationRun:
     sumsq: np.ndarray
     n_permutations: int
     truncated_scans: int
-    stopped_early: bool
     max_stderr: float | None
     converged: bool = True
     stop_reason: str = "completed"
     n_evaluations: int = 0
     elapsed_s: float = 0.0
     resumed_from: int = 0
+
+    @property
+    def stopped_early(self) -> bool:
+        """Whether the convergence check stopped the run."""
+        return self.stop_reason == "converged"
+
+    def census(self) -> dict:
+        """Permutations scanned and resumed, truncations, why and whether
+        the run stopped, its error bound, and the evaluations and wall
+        time it spent, a resumed run's earlier invocations included."""
+        return {
+            "n_permutations_run": self.n_permutations,
+            "resumed_from": self.resumed_from,
+            "truncated_scans": self.truncated_scans,
+            "stopped_early": self.stopped_early,
+            "converged": self.converged,
+            "stop_reason": self.stop_reason,
+            "max_stderr": self.max_stderr,
+            "n_evaluations": self.n_evaluations,
+            "elapsed_s": self.elapsed_s,
+        }
 
     def values(self) -> np.ndarray:
         return self.totals / np.maximum(self.counts, 1)
@@ -488,7 +511,6 @@ class _PermutationAccumulator(_Checkpointed):
             sumsq=self.sumsq,
             n_permutations=self.scanned,
             truncated_scans=self.truncated,
-            stopped_early=stop_reason == "converged",
             max_stderr=self.max_stderr,
             converged=stop_reason == "converged"
             or (stop_reason == "completed" and tolerance is None),
@@ -538,7 +560,10 @@ class ValuationEngine:
         5 s). A chunk that fails 4 times raises
         :class:`~repro.importance.supervision.ChunkFailure`, and a pool
         restarts at most 32 workers over its lifetime — for a call-scoped
-        pool, over one call.
+        pool, over one call. Like ``chaos``, it reaches only a pool the
+        engine builds (``pool=True`` or a call-scoped lease): a fan-out on
+        a borrowed or registry-leased pool with it set raises
+        ``ValueError``, since that pool keeps its own.
     pool:
         Where fan-outs execute. ``None`` (default): lease from the active
         :func:`~repro.importance.pool.valuation_pool` registry when one is
@@ -557,7 +582,8 @@ class ValuationEngine:
     chaos:
         Optional :class:`repro.errors.chaos.ChaosMonkey` whose seeded
         *worker-level* faults (crash-on-chunk, hang-on-chunk) are injected
-        inside workers — the supervision path's end-to-end test hook.
+        inside workers — the supervision path's end-to-end test hook. It
+        reaches the same pools as ``chunk_timeout_s``.
     """
 
     def __init__(
@@ -954,25 +980,18 @@ class ValuationEngine:
                         )
                     if stop_reason is not None:
                         break
-            run_span.set(
-                n_permutations_run=acc.scanned,
-                truncated_scans=acc.truncated,
-                stopped_early=stop_reason is not None,
-                max_stderr=acc.max_stderr,
-            )
-        run = acc.run(stop_reason or "completed", convergence_tolerance)
+            run = acc.run(stop_reason or "completed", convergence_tolerance)
+            census = run.census()
+            run_span.set(**census)
         if self.ledger is not None:
             supervision = self.supervision.to_dict()
             self.ledger.record_event(
                 "valuation",
+                # The budgets, the fleet and the store stay out of the
+                # fingerprint, not out of the record.
                 config={
-                    "n_train": n,
-                    "n_permutations": n_permutations,
-                    "seed": seed,
+                    **{k: v for k, v in acc.config.items() if k != "weights"},
                     "n_workers": self.n_workers,
-                    "antithetic": antithetic,
-                    "truncation_tolerance": truncation_tolerance,
-                    "convergence_tolerance": convergence_tolerance,
                     "deadline_s": deadline_s,
                     "max_evals": max_evals,
                     "checkpoint": (
@@ -982,13 +1001,7 @@ class ValuationEngine:
                     ),
                 },
                 stats={
-                    "n_permutations_run": run.n_permutations,
-                    "resumed_from": run.resumed_from,
-                    "truncated_scans": run.truncated_scans,
-                    "stopped_early": stop_reason is not None,
-                    "converged": run.converged,
-                    "stop_reason": run.stop_reason,
-                    "max_stderr": run.max_stderr,
+                    **census,
                     "evaluations": int(self.utility.n_evaluations)
                     - acc.evals_at_entry,
                     "cache": self.cache.stats(),
@@ -1004,7 +1017,10 @@ class ValuationEngine:
     def result_from_run(
         self, run: PermutationRun, n_permutations_target: int
     ) -> ValuationResult:
-        """Package a :class:`PermutationRun` as a :class:`ValuationResult`."""
+        """Package a :class:`PermutationRun` as a :class:`ValuationResult`
+        whose census is the engine's stats overlaid with the run's census
+        (so ``n_evaluations`` is the run's count, not the utility's
+        lifetime count)."""
         return ValuationResult(
             values=run.values(),
             stderr=run.stderr(),
@@ -1012,15 +1028,8 @@ class ValuationEngine:
             stop_reason=run.stop_reason,
             census={
                 "n_permutations_target": int(n_permutations_target),
-                "n_permutations_run": run.n_permutations,
-                "resumed_from": run.resumed_from,
-                "truncated_scans": run.truncated_scans,
                 **self.stats(),
-                # The run's census, a resumed run's earlier invocations
-                # included — not the utility's lifetime count.
-                "n_evaluations": run.n_evaluations,
-                "elapsed_s": run.elapsed_s,
-                "max_stderr": run.max_stderr,
+                **run.census(),
             },
         )
 
@@ -1043,6 +1052,14 @@ class ValuationEngine:
             return
         pool = self._resolve_pool()
         if pool is not None:
+            if not self._owns_pool:
+                for name in ("chaos", "chunk_timeout_s"):
+                    if getattr(self, name) is not None:
+                        raise ValueError(
+                            f"{name} applies only to a pool the engine "
+                            "builds (pool=True or a call-scoped lease); a "
+                            "borrowed or registry-leased pool keeps its own"
+                        )
             yield pool
         elif _FORK_CTX is None:
             _warn_no_fork("engine")

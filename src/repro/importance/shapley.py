@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import factorial
+from typing import Any
 
 import numpy as np
 
 from .base import ImportanceResult
-from .engine import DEFAULT_CACHE_SIZE, ValuationEngine
+from .engine import DEFAULT_CACHE_SIZE, PermutationRun, ValuationEngine
 from .utility import Utility
 
 __all__ = ["shapley_mc", "shapley_brute_force", "banzhaf_brute_force"]
@@ -157,21 +158,37 @@ def shapley_mc(
         max_evals=max_evals,
     )
     null = engine.evaluate(())
+    return permutation_result(
+        "shapley_mc",
+        engine,
+        run,
+        n_permutations,
+        full_score=full,
+        null_score=null,
+        antithetic=antithetic,
+    )
+
+
+def permutation_result(
+    method: str,
+    engine: ValuationEngine,
+    run: PermutationRun,
+    n_permutations: int,
+    **extras: Any,
+) -> ImportanceResult:
+    """A permutation estimator's result: ``extras`` with the run's census
+    at top level and, with the target and the engine's stats, under
+    ``"census"``. The engine's lifetime stats go last, so top-level
+    ``n_evaluations`` counts the utility's evaluations over its lifetime
+    and ``census["n_evaluations"]`` the run's."""
     result = engine.result_from_run(run, n_permutations)
     return ImportanceResult(
-        method="shapley_mc",
-        values=run.values(),
+        method=method,
+        values=result.values,
         extras={
+            **extras,
             "n_permutations": n_permutations,
-            "n_permutations_run": run.n_permutations,
-            "truncated_scans": run.truncated_scans,
-            "full_score": full,
-            "null_score": null,
-            "stopped_early": run.stopped_early,
-            "max_stderr": run.max_stderr,
-            "antithetic": antithetic,
-            "converged": result.converged,
-            "stop_reason": result.stop_reason,
+            **run.census(),
             "stderr": result.stderr,
             "census": result.census,
             **engine.stats(),

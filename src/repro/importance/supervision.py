@@ -46,7 +46,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as _mp_connection
 from typing import Any, Callable, Sequence
 
@@ -96,21 +96,11 @@ class SupervisionStats:
     chunk_retries: int = 0
     crashes: int = 0
     hangs: int = 0
-    events: list[dict] = field(default_factory=list)
 
-    def merge(self, other: "SupervisionStats") -> None:
-        self.chunks_completed += other.chunks_completed
-        self.worker_restarts += other.worker_restarts
-        self.chunk_retries += other.chunk_retries
-        self.crashes += other.crashes
-        self.hangs += other.hangs
-        self.events.extend(other.events)
-
-    def record(self, kind: str, chunk_ord: int, attempt: int) -> None:
+    def record(self, kind: str) -> None:
         """Count one ``crash``/``hang``/``retry``/``restart`` event."""
         counter = _COUNTERS[kind]
         setattr(self, counter, getattr(self, counter) + 1)
-        self.events.append({"kind": kind, "chunk": chunk_ord, "attempt": attempt})
 
     def to_dict(self) -> dict:
         return {
@@ -262,10 +252,6 @@ class ChunkDispatcher:
         The :class:`SupervisionStats` this dispatcher accumulates into over
         its lifetime; its ``worker_restarts`` is what the restart cap
         bounds.
-    on_event:
-        Optional callback ``on_event(kind, chunk_ord, attempt)`` invoked for
-        every ``"crash"``/``"hang"``/``"retry"``/``"restart"`` the
-        supervisor handles.
     on_worker_start:
         Optional ``on_worker_start(slot)`` invoked after a worker process
         (re)starts in fleet position ``slot`` — restarts included, so
@@ -289,7 +275,6 @@ class ChunkDispatcher:
         max_chunk_retries: int = 3,
         max_worker_restarts: int = 32,
         stats: SupervisionStats | None = None,
-        on_event: Callable[[str, int, int], None] | None = None,
         on_worker_start: Callable[[int], None] | None = None,
     ) -> None:
         if n_workers < 1:
@@ -304,7 +289,6 @@ class ChunkDispatcher:
         self.stats = stats if stats is not None else SupervisionStats()
         # Where the current dispatch counts: ``stats`` plus the caller's.
         self._tallies: tuple[SupervisionStats, ...] = (self.stats,)
-        self._on_event = on_event
         self._on_worker_start = on_worker_start
         self._telemetry_pending: dict[int, tuple[int, Any]] = {}
         self._workers: list[_Worker] = []
@@ -358,7 +342,7 @@ class ChunkDispatcher:
     ) -> None:
         """The one emission site of a supervision event."""
         for tally in self._tallies:
-            tally.record(kind, chunk_ord, attempt)
+            tally.record(kind)
         if _obs_trace.enabled():
             _obs_metrics.counter(f"engine.supervision.{kind}").inc()
         _obs_flight.record(
@@ -369,8 +353,6 @@ class ChunkDispatcher:
             planned = chaos.worker_fault(chunk_ord, attempt)
             if planned is not None:
                 chaos.record_worker_fault(planned, chunk_ord)
-        if self._on_event is not None:
-            self._on_event(kind, chunk_ord, attempt)
 
     # ------------------------------------------------------------------ #
     # dispatch                                                           #

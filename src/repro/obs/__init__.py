@@ -1,7 +1,7 @@
-"""Observability: tracing, metrics, and profiling for the whole runtime.
+"""Observability: tracing and metrics for the whole runtime.
 
 The paper's Debug pillar is built on fine-grained pipeline inspection;
-``repro.obs`` applies the same idea to the library's own execution. Three
+``repro.obs`` applies the same idea to the library's own execution. Two
 zero-dependency layers:
 
 - :mod:`repro.obs.trace` — hierarchical spans with a thread/fork-safe
@@ -10,8 +10,6 @@ zero-dependency layers:
   single flag check.
 - :mod:`repro.obs.metrics` — a process-wide registry of counters, gauges,
   and histograms with snapshot/reset semantics and JSON export.
-- :mod:`repro.obs.profile` — opt-in cProfile capture that attaches its
-  results to the trace.
 
 On top of the in-process layers sits the *continuous* observability stack
 (PR 4): :mod:`repro.obs.quality` computes streaming per-column
@@ -89,7 +87,6 @@ from .metrics import (
     series_name,
     snapshot,
 )
-from .profile import ProfileResult, profile_block, profiling_requested
 from .quality import (
     ColumnProfile,
     ColumnQualityCollector,
@@ -161,12 +158,9 @@ __all__ = [
     # per-tenant SLOs
     "SLOPolicy",
     "SLOTracker",
-    # report / profile
+    # trace windows
     "TraceReport",
     "tracing",
-    "ProfileResult",
-    "profile_block",
-    "profiling_requested",
     # quality monitors
     "ColumnProfile",
     "ColumnQualityCollector",

@@ -74,7 +74,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 try:  # POSIX only; Windows degrades to unlocked single-writer behavior.
     import fcntl as _fcntl
@@ -98,10 +98,12 @@ __all__ = [
     "io_hooks",
     "quarantine_file",
     "quarantine_path_for",
+    "read_export",
     "read_jsonl",
     "record_storage_alert",
     "storage_alerts",
     "unframe",
+    "write_export",
 ]
 
 #: Version of the per-record envelope. v1 is "no envelope" (bare payload
@@ -689,3 +691,46 @@ def read_jsonl(
     if corrupt and quarantine:
         _emit_quarantine(path, artifact, corrupt, report)
     return payloads, report
+
+
+# ---------------------------------------------------------------------- #
+# header-plus-records exports                                            #
+# ---------------------------------------------------------------------- #
+def write_export(
+    path: Any,
+    header: Mapping[str, Any],
+    records: Iterable[Any],
+    default: Callable[[Any], Any] | None = None,
+) -> None:
+    """Atomically write ``header`` then one line per record, every line
+    CRC-framed (``default`` as in :func:`frame_line`).
+
+    The format of every trace export, flight dump and saved trace report:
+    staged and renamed into place, so readers never see a partial file,
+    and read back by :func:`read_export`.
+    """
+    with atomic_writer(path) as handle:
+        handle.write(frame_line(header, default=default) + "\n")
+        for record in records:
+            handle.write(frame_line(record, default=default) + "\n")
+
+
+def read_export(
+    path: Any, kind: str, artifact: str
+) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    """Load a :func:`write_export` file: ``(header, records)``.
+
+    Goes through :func:`read_jsonl`, so damaged lines are quarantined and
+    the rest still load, and un-framed files written before the exports
+    were framed load unchanged. The header is the first record whose
+    ``kind`` is ``kind``; a damaged or missing header yields ``{}``.
+    """
+    payloads, _ = read_jsonl(path, artifact=artifact)
+    header: dict[str, Any] = {}
+    records: list[dict[str, Any]] = []
+    for payload in payloads:
+        if not header and payload.get("kind") == kind:
+            header = payload
+        else:
+            records.append(payload)
+    return header, records

@@ -142,9 +142,9 @@ class FlightRecorder:
 
     def dump(self, path: Any, reason: str = "", extra: dict[str, Any] | None = None) -> int:
         """Atomically write the ring as CRC-framed JSONL (header + one event
-        per line); returns the event count. Readers never observe a partial
-        dump, and :func:`load_dump` quarantines any later bit rot."""
-        from .atomicio import atomic_writer, frame_line
+        per line, :func:`repro.obs.atomicio.write_export`); returns the
+        event count. :func:`load_dump` reads it back."""
+        from .atomicio import write_export
 
         events = self.snapshot()
         header: dict[str, Any] = {
@@ -157,10 +157,7 @@ class FlightRecorder:
         }
         if extra:
             header.update(extra)
-        with atomic_writer(path) as handle:
-            handle.write(frame_line(header) + "\n")
-            for event in events:
-                handle.write(frame_line(event, default=repr) + "\n")
+        write_export(path, header, events, default=repr)
         return len(events)
 
     def auto_dump(self, reason: str) -> str | None:
@@ -234,19 +231,10 @@ def auto_dump(reason: str) -> str | None:
 def load_dump(path: Any) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Load one flight dump: ``(header, events)``.
 
-    Goes through the validating loader (:func:`repro.obs.atomicio.
-    read_jsonl`): corrupt lines are quarantined to ``<path>.corrupt`` with
-    metrics and an alert, and the surviving events still load. Un-framed
-    (v1) dumps load unchanged. A damaged or missing header yields ``{}``.
+    Reads through the shared validating reader (:func:`repro.obs.atomicio.
+    read_export`): damaged lines are quarantined, and a damaged or missing
+    header yields ``{}``.
     """
-    from .atomicio import read_jsonl
+    from .atomicio import read_export
 
-    payloads, _ = read_jsonl(path, artifact="flight")
-    header: dict[str, Any] = {}
-    events: list[dict[str, Any]] = []
-    for payload in payloads:
-        if not header and payload.get("kind") == "flight_dump":
-            header = payload
-        else:
-            events.append(payload)
-    return header, events
+    return read_export(path, "flight_dump", "flight")

@@ -11,21 +11,25 @@ its body and collects everything recorded inside the window::
 
     print(report.render())          # span tree + per-name summary + metrics
     report.save_jsonl("trace.jsonl")
+    again = TraceReport.from_jsonl("trace.jsonl")
 
 The report object is handed out at ``__enter__`` and *filled in* at
 ``__exit__`` — inside the body it is still empty. Windows nest: an inner
 ``tracing()`` sees only its own spans and metric deltas, and only the
 outermost window flips the global flag off again on exit.
+
+A saved report is CRC-framed like every trace export and flight dump,
+and loads through the same validating reader (:mod:`repro.obs.atomicio`):
+a damaged line is quarantined, not raised.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from . import metrics as _metrics
 from . import trace as _trace
-from .atomicio import atomic_writer
+from .atomicio import read_export, write_export
 from .trace import TRACE_SCHEMA_VERSION, Span, _jsonable
 
 __all__ = ["TraceReport", "tracing"]
@@ -122,71 +126,53 @@ class TraceReport:
         return "\n".join(parts)
 
     # -- export -----------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": TRACE_SCHEMA_VERSION,
-            "spans": [s.to_dict() for s in self.spans],
-            "metrics": _jsonable(self.metrics),
-        }
-
     def save_jsonl(self, path: Any) -> int:
-        """Schema-versioned header line, one JSON line per span, plus a
-        final ``{"metrics": ...}`` line. Written atomically (staged +
-        renamed), so readers never observe a torn export."""
-        with atomic_writer(path) as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "schema_version": TRACE_SCHEMA_VERSION,
-                        "kind": "trace_report",
-                        "n_spans": len(self.spans),
-                    }
-                )
-                + "\n"
-            )
-            for span in self.spans:
-                handle.write(json.dumps(span.to_dict()) + "\n")
-            handle.write(json.dumps({"metrics": _jsonable(self.metrics)}) + "\n")
+        """Schema-versioned header line, one line per span, plus a final
+        ``{"metrics": ...}`` line, written atomically and CRC-framed like
+        every trace export (:func:`repro.obs.atomicio.write_export`);
+        returns the span count."""
+        write_export(
+            path,
+            {
+                "schema_version": TRACE_SCHEMA_VERSION,
+                "kind": "trace_report",
+                "n_spans": len(self.spans),
+            },
+            [
+                *(span.to_dict() for span in self.spans),
+                {"metrics": _jsonable(self.metrics)},
+            ],
+        )
         return len(self.spans)
 
     @classmethod
     def from_jsonl(cls, path: Any) -> "TraceReport":
         """Round-trip loader for :meth:`save_jsonl` files.
 
+        Loads through the shared validating reader (:func:`repro.obs.
+        atomicio.read_export`), so a damaged line is quarantined, never
+        raised, and reports saved before the lines were framed still load.
         Forward-compatible by construction: unknown keys on span lines are
-        dropped, unknown line kinds (a future header field, a new record
+        dropped, unknown record kinds (a future header field, a new record
         type) are ignored, and files written before the schema-version
         header existed still load. The report comes back ``closed``.
         """
         span_fields = set(Span.__dataclass_fields__)
         report = cls()
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                payload = json.loads(line)
-                if not isinstance(payload, dict):
-                    continue
-                if "span_id" in payload:
-                    known = {
-                        k: v for k, v in payload.items() if k in span_fields
-                    }
-                    known.setdefault("parent_id", None)
-                    known.setdefault("name", "")
-                    known.setdefault("start", 0.0)
-                    known.setdefault("attrs", {})
-                    report.spans.append(Span(**known))
-                elif "metrics" in payload:
-                    report.metrics = payload["metrics"] or {}
-                # anything else (headers, future record kinds) is ignored
+        __, records = read_export(path, "trace_report", "trace_report")
+        for payload in records:
+            if "span_id" in payload:
+                known = {k: v for k, v in payload.items() if k in span_fields}
+                known.setdefault("parent_id", None)
+                known.setdefault("name", "")
+                known.setdefault("start", 0.0)
+                known.setdefault("attrs", {})
+                report.spans.append(Span(**known))
+            elif "metrics" in payload:
+                report.metrics = payload["metrics"] or {}
+            # anything else (future record kinds) is ignored
         report.closed = True
         return report
-
-    def save_json(self, path: Any) -> None:
-        with atomic_writer(path) as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-            handle.write("\n")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self.closed else "open"

@@ -303,50 +303,35 @@ class TraceRecorder:
             self._fork_dropped = 0
 
     def export_jsonl(self, path: Any) -> int:
-        """Write a schema-version header then one CRC-framed JSON object per
-        completed span; returns the span count. The file is staged and
-        renamed into place atomically, so readers never observe a partial
-        export; :func:`read_trace_export` verifies the CRCs and quarantines
-        any later bit rot."""
-        from .atomicio import atomic_writer, frame_line
+        """Write a schema-version header then one JSON object per completed
+        span, atomically and CRC-framed (:func:`repro.obs.atomicio.
+        write_export`); returns the span count. :func:`read_trace_export`
+        reads it back."""
+        from .atomicio import write_export
 
         spans = [s for s in self.spans if s.finished]
-        with atomic_writer(path) as handle:
-            handle.write(
-                frame_line(
-                    {
-                        "schema_version": TRACE_SCHEMA_VERSION,
-                        "kind": "trace_recorder",
-                        "n_spans": len(spans),
-                    }
-                )
-                + "\n"
-            )
-            for span_obj in spans:
-                handle.write(frame_line(span_obj.to_dict()) + "\n")
+        write_export(
+            path,
+            {
+                "schema_version": TRACE_SCHEMA_VERSION,
+                "kind": "trace_recorder",
+                "n_spans": len(spans),
+            },
+            (span_obj.to_dict() for span_obj in spans),
+        )
         return len(spans)
 
 
 def read_trace_export(path: Any) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Load one trace export: ``(header, span_dicts)``.
 
-    Goes through the validating loader (:func:`repro.obs.atomicio.
-    read_jsonl`): corrupt lines are quarantined to ``<path>.corrupt`` with
-    metrics and an alert, and the surviving spans still load. Un-framed
-    (v1/v2 plain-JSONL) exports load unchanged. A damaged or missing
+    Reads through the shared validating reader (:func:`repro.obs.atomicio.
+    read_export`): damaged lines are quarantined, and a damaged or missing
     header yields ``{}``.
     """
-    from .atomicio import read_jsonl
+    from .atomicio import read_export
 
-    payloads, _ = read_jsonl(path, artifact="trace")
-    header: dict[str, Any] = {}
-    spans: list[dict[str, Any]] = []
-    for payload in payloads:
-        if not header and payload.get("kind") == "trace_recorder":
-            header = payload
-        else:
-            spans.append(payload)
-    return header, spans
+    return read_export(path, "trace_recorder", "trace")
 
 
 _RECORDER = TraceRecorder()

@@ -229,13 +229,6 @@ class CanonicalPipeline:
     def n_players(self) -> int:
         return len(self.player_row_ids)
 
-    def group_for(self, row_id: int) -> np.ndarray:
-        """Encoded output positions of one source row (empty if filtered)."""
-        pos = np.searchsorted(self.player_row_ids, int(row_id))
-        if pos < len(self.player_row_ids) and self.player_row_ids[pos] == row_id:
-            return self.groups[int(pos)]
-        return np.empty(0, dtype=np.int64)
-
     def polynomials(self, limit: int | None = None) -> list[str]:
         """Readable additive provenance polynomials, one per output row."""
         rows = range(self.n_output_rows if limit is None else min(limit, self.n_output_rows))

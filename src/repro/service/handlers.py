@@ -94,7 +94,7 @@ def make_valuation_handler(
         return engine.run_permutations(
             **kwargs,
             deadline_s=deadline,
-            progress_callback=context.engine_progress,
+            progress_callback=context.progress,
         )
 
     return handler

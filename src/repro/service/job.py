@@ -283,7 +283,9 @@ class Job:
         return self.finished_at - self.submitted_at
 
     def summary(self) -> dict[str, Any]:
-        """JSON-able terminal summary, as journaled and ledger-recorded."""
+        """JSON-able terminal summary, as journaled, ledger-recorded and
+        served by ``/jobs``, for every terminal state. ``error`` holds a
+        failed job's last handler error, or a rejected job's detail."""
         return {
             "job_id": self.job_id,
             "kind": self.request.kind,

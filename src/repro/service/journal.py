@@ -97,6 +97,9 @@ class JobJournal:
         #: Accounting for the most recent :meth:`events` load (quarantine
         #: counts, alerts); ``None`` until the first load.
         self.last_load_report: LoadReport | None = None
+        # Events in the file as of this object's last load or compaction,
+        # plus its own appends since: the event-count compaction trigger.
+        self._n_events: int | None = None
 
     # -- write -----------------------------------------------------------
     def record(
@@ -116,6 +119,8 @@ class JobJournal:
             }
         )
         atomic_append_line(self.path, line)
+        if self._n_events is not None:
+            self._n_events += 1
 
     # -- read ------------------------------------------------------------
     def events(self) -> list[dict[str, Any]]:
@@ -129,11 +134,13 @@ class JobJournal:
         payloads, self.last_load_report = read_jsonl(
             self.path, artifact="journal"
         )
-        return [
+        events = [
             payload
             for payload in payloads
             if isinstance(payload, dict) and payload.get("event")
         ]
+        self._n_events = len(events)
+        return events
 
     def replay(self) -> dict[str, JournalEntry]:
         """Fold the event log into the latest per-job state, in job order.
@@ -142,8 +149,12 @@ class JobJournal:
         submission line is missing (pre-truncated journals) still produce
         an entry, just one that is not :attr:`~JournalEntry.recoverable`.
         """
+        return self._fold(self.events())
+
+    @staticmethod
+    def _fold(records: list[dict[str, Any]]) -> dict[str, JournalEntry]:
         entries: dict[str, JournalEntry] = {}
-        for record in self.events():
+        for record in records:
             job_id = str(record["job_id"])
             event = str(record["event"])
             payload = record.get("payload") or {}
@@ -181,10 +192,10 @@ class JobJournal:
 
         Appends stay O(record), but an ever-growing journal makes every
         replay slower and takes ever more disk; compaction bounds both.
-        It loads and rewrites the log under the cross-process advisory
-        lock (the loader re-enters that lock): each job that reached a
-        terminal state is collapsed to one summary record carrying its
-        folded result (``payload.compacted_events`` counts the collapsed
+        It loads the log once and rewrites it under the cross-process
+        advisory lock (the loader re-enters that lock): each job that
+        reached a terminal state is collapsed to one summary record carrying
+        its folded result (``payload.compacted_events`` counts the collapsed
         lines); every record of a *non-terminal* job is kept verbatim, so
         :meth:`replay`/:meth:`in_flight` recover exactly the same jobs
         before and after. Returns the compaction stats.
@@ -203,12 +214,11 @@ class JobJournal:
             stats["bytes_before"] = self.path.stat().st_size
             records = self.events()
             stats["events_before"] = len(records)
-            # Fold per job over the raw records (same logic as replay, but
-            # we need the records grouped to rewrite non-terminal chains).
+            # Group the raw records per job to rewrite non-terminal chains.
             by_job: dict[str, list[dict[str, Any]]] = {}
             for record in records:
                 by_job.setdefault(str(record["job_id"]), []).append(record)
-            entries = self.replay()
+            entries = self._fold(records)
             lines: list[str] = []
             for job_id, job_records in by_job.items():
                 if job_id == "-":
@@ -237,7 +247,7 @@ class JobJournal:
                 else:
                     stats["jobs_active"] += 1
                     lines.extend(frame_line(record) for record in job_records)
-            stats["events_after"] = len(lines)
+            stats["events_after"] = self._n_events = len(lines)
             with atomic_writer(self.path) as handle:
                 for line in lines:
                     handle.write(line + "\n")
@@ -251,14 +261,19 @@ class JobJournal:
     ) -> dict[str, Any] | None:
         """Run :meth:`compact` when the journal exceeds either trigger.
 
-        A journal over the byte bound compacts after one ``stat``; one
-        under it is loaded and parsed in full to count its records against
-        the event bound. Returns the stats when compaction ran, else None.
+        A journal over the byte bound compacts after one ``stat``. Under
+        it, the events are counted from this object's last load or
+        compaction plus its own appends since (a runtime's
+        :meth:`~repro.service.runtime.JobRuntime.recover` has just loaded
+        the journal), or from a fresh load when it has made none. Returns
+        the stats when compaction ran, else None.
         """
         if not self.path.exists():
             return None
         if self.path.stat().st_size <= max_bytes:
-            if len(self.events()) <= max_events:
+            if self._n_events is None:
+                self.events()
+            if self._n_events <= max_events:
                 return None
         return self.compact()
 

@@ -78,8 +78,9 @@ class JobContext:
     Handlers receive ``(params, context)``. The context carries the
     remaining end-to-end deadline, the job's checkpoint store (pass it to
     the engine for crash-safe resume), whether this execution should
-    resume from an existing snapshot, and :meth:`progress` /
-    :meth:`engine_progress` for streaming partial results to subscribers.
+    resume from an existing snapshot, and :meth:`progress` for streaming
+    partial results to subscribers (it takes the snapshot dict that
+    ``ValuationEngine.run_permutations(progress_callback=...)`` passes).
     """
 
     def __init__(
@@ -112,12 +113,6 @@ class JobContext:
         holds the durable watermark a restarted runtime resumes from.
         """
         self._runtime._publish_progress(self._job, dict(snapshot))
-
-    @property
-    def engine_progress(self) -> Callable[[dict], None]:
-        """Adapter to pass as ``ValuationEngine.run_permutations(
-        progress_callback=...)`` — same dict shape, no glue needed."""
-        return self.progress
 
 
 class JobRuntime:
@@ -366,14 +361,10 @@ class JobRuntime:
             self._reject(job, exc.reason, str(exc))
             raise
         if shed is not None:
-            self.counts["shed"] += 1
-            self._metric("service.shed")
-            self._active_by_key.pop(shed.request.dedup_key(), None)
             self._reject(
                 shed,
                 "shed_by_priority",
                 f"evicted by higher-priority job {job.job_id}",
-                count=False,
             )
         job.transition(JobState.QUEUED)
         self._journal("queued", job.job_id)
@@ -574,19 +565,15 @@ class JobRuntime:
             # Handler thread: hop to the loop that owns the subscribers.
             self._loop.call_soon_threadsafe(job.publish_progress, snapshot)
 
-    def _reject(
-        self, job: Job, reason: str, detail: str, count: bool = True
-    ) -> None:
+    def _reject(self, job: Job, reason: str, detail: str) -> None:
         job.reject_reason = reason
-        self._journal("rejected", job.job_id, {"reason": reason, "detail": detail})
-        job.transition(JobState.REJECTED)
-        if count:
-            self.counts["rejected"] += 1
-            self._metric("service.rejected")
-        self.slo.observe_job(job)
-        self._record_ledger(job)
+        job.error = detail
+        self._finish(job, JobState.REJECTED)
 
     def _finish(self, job: Job, state: JobState) -> None:
+        """End ``job`` in terminal ``state``. Every terminal state, a
+        rejection included, journals and ledger-records the same
+        ``job.summary()``."""
         key = job.request.dedup_key()
         if self._active_by_key.get(key) is job:
             self._active_by_key.pop(key, None)
@@ -596,16 +583,20 @@ class JobRuntime:
         job.finished_at = time.time()
         self._journal(state.value, job.job_id, {**job.summary(), "state": state.value})
         job.transition(state)
-        self.counts[state.value] += 1
-        self._metric(f"service.{state.value}")
-        ok = state is not JobState.FAILED
-        self.admission.record_result(job.request.tenant, ok)
-        if _obs.enabled() and job.latency_s is not None:
+        tally = "shed" if job.reject_reason == "shed_by_priority" else state.value
+        self.counts[tally] += 1
+        self._metric(f"service.{tally}")
+        if state is not JobState.REJECTED:
+            # Refused work says nothing about the tenant's own jobs.
+            self.admission.record_result(
+                job.request.tenant, state is not JobState.FAILED
+            )
+        if _obs.enabled() and job.queue_wait_s is not None:
+            # Only jobs that ran: a rejected job never started.
             _obs_metrics.histogram("service.latency_s").observe(job.latency_s)
-            if job.queue_wait_s is not None:
-                _obs_metrics.histogram("service.queue_wait_s").observe(
-                    job.queue_wait_s
-                )
+            _obs_metrics.histogram("service.queue_wait_s").observe(
+                job.queue_wait_s
+            )
         self.slo.observe_job(job)
         if state is JobState.FAILED:
             # Flight-record the failure and dump the ring (no-op unless a

@@ -95,15 +95,6 @@ class TestDeadlinePolicy:
             DeadlinePolicy(quantile=0.0)
 
 
-def test_supervision_stats_merge():
-    a = SupervisionStats(chunks_completed=3, crashes=1, events=[{"kind": "crash"}])
-    b = SupervisionStats(chunks_completed=2, hangs=1, worker_restarts=1)
-    a.merge(b)
-    assert a.chunks_completed == 5
-    assert a.crashes == 1 and a.hangs == 1 and a.worker_restarts == 1
-    assert a.to_dict()["chunks_completed"] == 5
-
-
 # ---------------------------------------------------------------------- #
 # ChunkDispatcher                                                        #
 # ---------------------------------------------------------------------- #
@@ -137,22 +128,17 @@ class TestChunkDispatcher:
     def test_crash_is_detected_retried_and_recovered(self):
         chaos = ChaosMonkey(worker_crash_chunks=[2])
         stats = SupervisionStats()
-        events = []
         with ChunkDispatcher(
             engine_mod._FORK_CTX,
             2,
             {"chaos": chaos},
             _square_task,
             stats=stats,
-            on_event=lambda kind, ord_, attempt: events.append(kind),
         ) as d:
             assert d.dispatch([1, 2, 3, 4]) == [1, 4, 9, 16]
         assert stats.crashes == 1
         assert stats.chunk_retries == 1
         assert stats.worker_restarts == 1
-        assert events.count("crash") == 1
-        assert events.count("retry") == 1
-        assert events.count("restart") == 1
 
     def test_hang_is_detected_and_chunk_requeued(self):
         chaos = ChaosMonkey(worker_hang_chunks=[1], hang_duration=60.0)

@@ -3,7 +3,8 @@
 Two families of fuzz, both seeded and deterministic:
 
 * **Corrupted-line fuzz** — build a valid artifact for each loader (run
-  ledger, job journal, trace export, flight dump, valuation checkpoint),
+  ledger, job journal, trace export, flight dump, saved trace report,
+  valuation checkpoint),
   apply random byte-level damage (bit flips, tail truncation, garbage
   splices, deleted ranges), and assert the loader (1) never raises,
   (2) accounts for every surviving record, and (3) quarantines damage to a
@@ -29,7 +30,9 @@ import pytest
 
 from repro.importance import CheckpointStore
 from repro.importance.checkpoint import CheckpointError
+from repro.obs import TraceReport, tracing
 from repro.obs import flight as obs_flight
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.atomicio import quarantine_path_for, read_jsonl
 from repro.obs.flight import FlightRecorder, load_dump
@@ -79,6 +82,16 @@ def _build_flight(path: Path) -> int:
     return 1 + 6  # header + events
 
 
+def _build_report(path: Path) -> int:
+    with tracing() as report:
+        with obs_trace.span("outer"):
+            with obs_trace.span("inner", i=1):
+                pass
+        obs_metrics.counter("fuzz.reports").inc()
+    report.save_jsonl(path)
+    return path.read_text().count("\n")  # header + spans + metrics
+
+
 def _load_ledger(path: Path):
     ledger = RunLedger(path)
     records = ledger.load()
@@ -103,11 +116,20 @@ def _load_flight(path: Path):
     return (1 if header else 0) + len(events), None
 
 
+def _load_report(path: Path):
+    report = TraceReport.from_jsonl(path)
+    # What from_jsonl dropped, it quarantined; re-read the accounting
+    # without quarantining again.
+    __, load = read_jsonl(path, quarantine=False)
+    return len(report.spans) + bool(report.metrics), load
+
+
 LOADERS = [
     pytest.param(_build_ledger, _load_ledger, id="ledger"),
     pytest.param(_build_journal, _load_journal, id="journal"),
     pytest.param(_build_trace, _load_trace, id="trace"),
     pytest.param(_build_flight, _load_flight, id="flight"),
+    pytest.param(_build_report, _load_report, id="report"),
 ]
 
 

@@ -21,7 +21,7 @@ from repro.importance.utility import SubsetUtility
 from repro.learn import ColumnTransformer, StandardScaler
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs import tracing
+from repro.obs import tracing, unframe
 from repro.pipeline import PipelinePlan, execute_robust
 
 
@@ -279,7 +279,9 @@ class TestTracingWindow:
         assert "pipeline.runs" in text
         path = tmp_path / "trace.jsonl"
         count = report.save_jsonl(path)
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        lines = [
+            unframe(json.loads(line))[0] for line in path.read_text().splitlines()
+        ]
         # header + spans + trailing metrics line
         assert len(lines) == count + 2
         assert lines[0]["kind"] == "trace_report"
