@@ -65,6 +65,14 @@ variance-aware early stopping and budget degradation
     wave starts, so a run that scans its last permutation has completed,
     whatever it spent doing so.
 
+batched prefix fits
+    A scan reads the next prefixes of an ordering together and fits the
+    ones it lacks in one kernel call where the utility allows it
+    (:func:`~repro.importance.utility.batch_evaluator`), then walks them
+    under the truncation test. Fits past the truncation point are
+    speculative: counted apart, in ``speculative_fits``, never as
+    evaluations, so memo, census and values equal a prefix-by-prefix scan.
+
 antithetic permutation pairs
     With ``antithetic=True`` every drawn ordering is followed by its
     reverse. A point inserted late in σ is inserted early in reversed(σ),
@@ -104,6 +112,7 @@ from .supervision import (
     DeadlinePolicy,
     SupervisionStats,
 )
+from .utility import batch_evaluator
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
@@ -123,6 +132,13 @@ DEFAULT_CACHE_SIZE = 32768
 #: latency-quantile estimates, at slightly more dispatch overhead. Does not
 #: affect returned values.
 _CHUNKS_PER_WORKER = 2
+
+#: Prefixes a scan fits in one batch: the first batch of a truncated scan,
+#: which doubles after each batch the truncation test passes, up to the
+#: cap. An untruncated scan needs every prefix, so it starts at the cap.
+#: Neither affects returned values.
+_FIRST_BATCH = 4
+_MAX_BATCH = 32
 
 
 class _MemoMiss(Exception):
@@ -225,6 +241,13 @@ class SubsetCache:
             self.hits += 1
         return value
 
+    def peek(self, keys: Iterable[tuple[int, ...]]) -> list[float | None]:
+        """The memo's value of each key, None where it holds none; neither
+        counted as a lookup nor refreshed."""
+        memo = self.memo
+        with memo.lock:
+            return [memo.data.get(key) for key in keys]
+
     def put(self, key: tuple[int, ...], value: float) -> bool:
         """Memoize ``v(key)``; whether the memo did not hold ``key`` yet."""
         if self.max_size == 0:
@@ -290,6 +313,9 @@ class PermutationRun:
     n_evaluations: int = 0
     elapsed_s: float = 0.0
     resumed_from: int = 0
+    #: Fits made past a truncation point, which no value uses; None for a
+    #: utility evaluated one subset at a time, which never makes one.
+    speculative_fits: int | None = None
 
     @property
     def stopped_early(self) -> bool:
@@ -299,8 +325,10 @@ class PermutationRun:
     def census(self) -> dict:
         """Permutations scanned and resumed, truncations, why and whether
         the run stopped, its error bound, and the evaluations and wall
-        time it spent, a resumed run's earlier invocations included."""
-        return {
+        time it spent, a resumed run's earlier invocations included. A run
+        whose utility fits in batches also reports its speculative fits,
+        which ``n_evaluations`` leaves out."""
+        census = {
             "n_permutations_run": self.n_permutations,
             "resumed_from": self.resumed_from,
             "truncated_scans": self.truncated_scans,
@@ -311,6 +339,9 @@ class PermutationRun:
             "n_evaluations": self.n_evaluations,
             "elapsed_s": self.elapsed_s,
         }
+        if self.speculative_fits is not None:
+            census["speculative_fits"] = self.speculative_fits
+        return census
 
     def values(self) -> np.ndarray:
         return self.totals / np.maximum(self.counts, 1)
@@ -345,42 +376,164 @@ class ValuationResult:
         return len(self.values)
 
 
+class _ScanSource:
+    """Where a permutation scan reads ``v(S)``: the values it holds, then
+    fits of the rest, in one batch where the utility allows it.
+
+    A subclass says which values it holds (:meth:`held`) and accounts for
+    each value the scan uses (:meth:`credit`). Fits are counted in the
+    utility's ``n_evaluations`` as they are made; the scan returns the
+    ones it does not use, past a truncation point, with :meth:`discard`.
+    A source that does not fit leaves a missing value None, and its
+    :meth:`credit` decides what using it means.
+    """
+
+    def __init__(self, utility: Any, fits: bool) -> None:
+        self.utility = utility
+        self.fits = fits
+        self.batch = batch_evaluator(utility) if fits else None
+        #: Whether the scan reads prefixes in batches: a utility evaluated
+        #: one subset at a time gets exactly the prefixes the scan uses.
+        self.batched = self.batch is not None or not fits
+
+    def held(self, keys: list[tuple[int, ...]]) -> list[float | None]:
+        raise NotImplementedError
+
+    def credit(self, key: tuple[int, ...], value: float | None, fitted: bool) -> None:
+        raise NotImplementedError
+
+    def read(self, keys: list[tuple[int, ...]]) -> tuple[list, list[bool]]:
+        """Each key's value, and whether it was fitted here."""
+        values = self.held(keys)
+        fitted = [value is None for value in values]
+        if not (self.fits and any(fitted)):
+            return values, [False] * len(keys)
+        missing = [key for key, miss in zip(keys, fitted) if miss]
+        if self.batch is not None:
+            new = iter(self.batch(missing))
+        else:
+            new = (
+                float(self.utility.evaluate(np.asarray(key, dtype=np.int64)))
+                for key in missing
+            )
+        return [next(new) if miss else value for value, miss in zip(values, fitted)], fitted
+
+    def discard(self, n_fits: int) -> None:
+        """Take ``n_fits`` unused fits back out of ``n_evaluations``."""
+        self.utility.n_evaluations -= n_fits
+
+
 def _scan_orderings(
-    evaluate: Callable[[tuple[int, ...]], float],
+    source: _ScanSource,
     orderings: Sequence[np.ndarray],
     weights: np.ndarray,
     truncation_tolerance: float,
     null: float,
     full: float | None,
-) -> tuple[np.ndarray, int]:
-    """Scan permutations, returning one row of weighted marginals each.
+) -> tuple[np.ndarray, int, int]:
+    """Scan permutations: one row of weighted marginals each, the truncated
+    scans and the speculative fits.
 
     The incremental-prefix loop replicates the legacy estimators exactly:
     ``prev`` starts at ``v(∅)`` and a scan stops early once the running
     utility is within ``truncation_tolerance`` of ``v(N)`` (the remaining
-    points keep a zero marginal for that permutation).
+    points keep a zero marginal for that permutation). The values of the
+    next prefixes are read in one batch (see :data:`_FIRST_BATCH`), then
+    walked in order under that test. Fits past the truncation point are
+    speculative: not memoized, not counted as evaluations or lookups. So
+    values, memo and census equal the prefix-by-prefix scan's.
     """
     n = len(weights)
     deltas = np.zeros((len(orderings), n))
-    truncated = 0
-    for p, order in enumerate(orderings):
-        prev = null
-        prefix: list[int] = []
-        row = deltas[p]
-        for step, i in enumerate(order):
-            if (
-                truncation_tolerance > 0.0
-                and step > 0
-                and abs(full - prev) <= truncation_tolerance
-            ):
-                truncated += 1
-                break
-            i = int(i)
-            insort(prefix, i)
-            current = evaluate(tuple(prefix))
-            row[i] = weights[step] * (current - prev)
-            prev = current
-    return deltas, truncated
+    truncated = speculative = 0
+    truncating = truncation_tolerance > 0.0
+    first, cap = (
+        (_FIRST_BATCH if truncating else _MAX_BATCH, _MAX_BATCH)
+        if source.batched
+        else (1, 1)
+    )
+
+    def done(step: int, prev: float) -> bool:
+        return truncating and step > 0 and abs(full - prev) <= truncation_tolerance
+
+    for row, order in zip(deltas, orderings):
+        points = order.tolist()
+        keys = _prefix_keys(order)
+        size = first
+        prev, step = null, 0
+        while step < n and not done(step, prev):
+            batch = list(islice(keys, size))
+            values, fitted = source.read(batch)
+            for j, key in enumerate(batch):
+                if done(step, prev):
+                    speculative += sum(fitted[j:])
+                    break
+                source.credit(key, values[j], fitted[j])
+                row[points[step]] = weights[step] * (values[j] - prev)
+                prev = values[j]
+                step += 1
+            size = min(2 * size, cap)
+        truncated += step < n
+    source.discard(speculative)
+    return deltas, truncated, speculative
+
+
+class _MemoSource(_ScanSource):
+    """The engine's memo, and with ``fits`` the utility in the driver.
+
+    A value the scan uses counts as one memo lookup, in scan order, and a
+    fitted one is memoized. Without ``fits``, a value the memo lacks
+    raises :class:`_MemoMiss`.
+    """
+
+    def __init__(self, engine: "ValuationEngine", fits: bool) -> None:
+        super().__init__(engine.utility, fits)
+        self.cache = engine.cache
+
+    def held(self, keys: list[tuple[int, ...]]) -> list[float | None]:
+        return self.cache.peek(keys)
+
+    def credit(self, key: tuple[int, ...], value: float | None, fitted: bool) -> None:
+        if fitted:
+            self.cache.misses += 1
+            self.cache.put(key, value)
+        elif self.cache.lookup(key) is None:
+            # Evicted since it was read: the prefix-by-prefix scan would
+            # have evaluated it again, to this same value.
+            if not self.fits:
+                raise _MemoMiss
+            self.cache.put(key, value)
+            self.utility.n_evaluations += 1
+
+
+class _ChunkSource(_ScanSource):
+    """One pool chunk's values: a dict that dies with the chunk, holding
+    the driver's ``known`` values and every evaluation the chunk makes,
+    each reported to the driver as a new entry."""
+
+    def __init__(self, utility: Any) -> None:
+        super().__init__(utility, fits=True)
+        self.cache: dict[tuple[int, ...], float] = {}
+        self.new_entries: dict[tuple[int, ...], float] = {}
+        self.counters = [0, 0]  # hits, misses
+
+    def held(self, keys: list[tuple[int, ...]]) -> list[float | None]:
+        return [self.cache.get(key) for key in keys]
+
+    def credit(self, key: tuple[int, ...], value: float | None, fitted: bool) -> None:
+        if fitted:
+            self.counters[1] += 1
+            self.cache[key] = self.new_entries[key] = value
+        else:
+            self.counters[0] += 1
+
+    def evaluate(self, key: tuple[int, ...]) -> float:
+        """``v(key)`` one subset at a time, as a subset chunk asks."""
+        value = self.cache.get(key)
+        if value is None:
+            value = float(self.utility.evaluate(np.asarray(key, dtype=np.int64)))
+        self.credit(key, value, key not in self.cache)
+        return value
 
 
 def _prefix_keys(order: np.ndarray) -> Iterator[tuple[int, ...]]:
@@ -458,6 +611,9 @@ class _PermutationAccumulator(_Checkpointed):
         self.sumsq = np.asarray(snapshot.get("sumsq", np.zeros(n)), dtype=float)
         self.scanned = self.resumed_from = int(snapshot.get("completed", 0))
         self.truncated = int(snapshot.get("truncated_scans", 0))
+        self.speculative = int(snapshot.get("speculative_fits", 0))
+        #: Whether the utility fits in batches, so the census reports them.
+        self.batched = batch_evaluator(engine.utility) is not None
         self.max_stderr: float | None = None
         #: Stop reason of a restored run that already finished, else None.
         self.finished = (
@@ -466,7 +622,7 @@ class _PermutationAccumulator(_Checkpointed):
             else None
         )
 
-    def add(self, deltas: np.ndarray, truncated: int) -> None:
+    def add(self, deltas: np.ndarray, truncated: int, speculative: int) -> None:
         """Fold in one wave's marginal rows, one permutation at a time, so
         the floating-point summation order matches the serial scan for
         every worker count."""
@@ -475,6 +631,7 @@ class _PermutationAccumulator(_Checkpointed):
             self.sumsq += row * row
         self.scanned += len(deltas)
         self.truncated += truncated
+        self.speculative += speculative
 
     def converged(self, tolerance: float | None) -> bool:
         """Refresh ``max_stderr``; whether it is within ``tolerance``."""
@@ -493,6 +650,7 @@ class _PermutationAccumulator(_Checkpointed):
             totals=self.totals.tolist(),
             sumsq=self.sumsq.tolist(),
             truncated_scans=self.truncated,
+            speculative_fits=self.speculative,
             n_evaluations=self.n_evaluations(),
             elapsed_s=self.elapsed_s(),
             finished=stop_reason is not None,
@@ -518,6 +676,7 @@ class _PermutationAccumulator(_Checkpointed):
             n_evaluations=self.n_evaluations(),
             elapsed_s=self.elapsed_s(),
             resumed_from=self.resumed_from,
+            speculative_fits=self.speculative if self.batched else None,
         )
 
 
@@ -719,13 +878,6 @@ class ValuationEngine:
         if value is None:
             value = float(self.utility.evaluate(np.asarray(key, dtype=np.int64)))
             self.cache.put(key, value)
-        return value
-
-    def _recall(self, key: tuple[int, ...]) -> float:
-        """Memoized ``v(S)``; raises :class:`_MemoMiss` instead of evaluating."""
-        value = self.cache.lookup(key)
-        if value is None:
-            raise _MemoMiss
         return value
 
     def evaluate_many(
@@ -946,8 +1098,10 @@ class ValuationEngine:
                     stop = min(start + wave, n_permutations)
                     orderings = list(islice(stream, stop - start))
                     with _obs.span("engine.wave", start=start, stop=stop) as wave_span:
-                        deltas, truncated = self._scan_wave(orderings, scan, pool)
-                        acc.add(deltas, truncated)
+                        deltas, truncated, speculative = self._scan_wave(
+                            orderings, scan, pool
+                        )
+                        acc.add(deltas, truncated, speculative)
                         if acc.converged(convergence_tolerance):
                             stop_reason = "converged"
                         if _obs.enabled():
@@ -1141,9 +1295,10 @@ class ValuationEngine:
 
     def _scan_wave(
         self, orderings: Sequence[np.ndarray], scan: dict, pool: WorkerPool | None
-    ) -> tuple[np.ndarray, int]:
-        """One wave's marginal rows and truncated-scan count; ``scan`` holds
-        the run's ``weights``, ``truncation_tolerance``, ``null``, ``full``.
+    ) -> tuple[np.ndarray, int, int]:
+        """One wave's marginal rows, truncated scans and speculative fits;
+        ``scan`` holds the run's ``weights``, ``truncation_tolerance``,
+        ``null``, ``full``.
 
         On a pool, the wave is first scanned from the memo alone: a warm
         engine, or one on a warm pool, often holds every subset it needs,
@@ -1155,10 +1310,10 @@ class ValuationEngine:
         memo lacks. Its lookups are counted once, from the workers' reports.
         """
         if pool is None:
-            return _scan_orderings(self._memo, orderings, **scan)
+            return _scan_orderings(_MemoSource(self, fits=True), orderings, **scan)
         counts = self.cache.hits, self.cache.misses
         try:
-            return _scan_orderings(self._recall, orderings, **scan)
+            return _scan_orderings(_MemoSource(self, fits=False), orderings, **scan)
         except _MemoMiss:
             self.cache.hits, self.cache.misses = counts
         known = self._known_values(orderings)
@@ -1175,8 +1330,12 @@ class ValuationEngine:
             ],
             count_lookups=True,
         )
-        deltas = np.concatenate([chunk for chunk, __ in outputs], axis=0)
-        return deltas, sum(truncated for __, truncated in outputs)
+        deltas = np.concatenate([chunk for chunk, __, __ in outputs], axis=0)
+        return (
+            deltas,
+            sum(truncated for __, truncated, __ in outputs),
+            sum(speculative for __, __, speculative in outputs),
+        )
 
     def _known_values(self, orderings: Sequence[np.ndarray]) -> np.ndarray:
         """Row ``p``, column ``k``: the memo's value of the first ``k + 1``

@@ -118,44 +118,34 @@ def _pool_task(state: dict, payload: Mapping[str, Any]):
     ``state["utility"]`` is the driver's utility, inherited at fork. A ping
     returns ``("ping",)``. Permutation and subset chunks share one layout,
     ``(kind, output, new_entries, evals, counters)``; a permutation chunk's
-    output is ``(deltas, truncated_scans)``.
+    output is what the driver's scan returns, ``(deltas, truncated_scans,
+    speculative_fits)``, and its ``evals`` leave the speculative fits out.
 
     A chunk's subset values live in a dict that dies with the chunk: a
     permutation chunk seeds it with the ``known`` values the driver's memo
     held for its prefixes (NaN where it held none), and every evaluation
-    adds to it, so repeats within the chunk are evaluated once.
+    adds to it, so repeats within the chunk are evaluated once. The scan
+    fits the rest as the driver's would, in batches where the utility
+    allows it.
     """
     kind = payload["kind"]
     if kind == "ping":
         return ("ping",)
 
+    from .engine import _ChunkSource, _prefix_keys, _scan_orderings
+
     utility = state["utility"]
-    cache: dict = {}
-    new_entries: dict = {}
-    counters = [0, 0]  # hits, misses
-
-    def evaluate(key: tuple[int, ...]) -> float:
-        if key in cache:
-            counters[0] += 1
-            return cache[key]
-        counters[1] += 1
-        value = float(utility.evaluate(np.asarray(key, dtype=np.int64)))
-        cache[key] = value
-        new_entries[key] = value
-        return value
-
+    source = _ChunkSource(utility)
     evals_before = utility.n_evaluations
     if kind == "permutation":
-        from .engine import _prefix_keys, _scan_orderings
-
-        cache.update(
+        source.cache.update(
             (key, value)
             for order, values in zip(payload["orderings"], payload["known"])
             for key, value in zip(_prefix_keys(order), values.tolist())
             if value == value  # NaN: the driver's memo held no value
         )
         output: Any = _scan_orderings(
-            evaluate,
+            source,
             payload["orderings"],
             payload["weights"],
             payload["truncation_tolerance"],
@@ -163,12 +153,12 @@ def _pool_task(state: dict, payload: Mapping[str, Any]):
             payload["full"],
         )
     elif kind == "subset":
-        output = [evaluate(tuple(key)) for key in payload["keys"]]
+        output = [source.evaluate(tuple(key)) for key in payload["keys"]]
     else:  # pragma: no cover
         raise ValueError(f"unknown pool task kind: {kind!r}")
     evals = utility.n_evaluations - evals_before
-    _note_worker_counters(evals, counters)
-    return (kind, output, list(new_entries.items()), evals, counters)
+    _note_worker_counters(evals, source.counters)
+    return (kind, output, list(source.new_entries.items()), evals, source.counters)
 
 
 def _note_worker_counters(evals: int, counters: Sequence[int]) -> None:

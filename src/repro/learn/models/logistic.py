@@ -21,13 +21,13 @@ objective.
 
 from __future__ import annotations
 
-import math
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
 from scipy.linalg.lapack import dposv
 from scipy.optimize import minimize
-from scipy.special import log_expit, softmax
+from scipy.special import softmax
 
 from ..base import Estimator, check_matrix, check_xy
 
@@ -105,88 +105,211 @@ def _check_sample_weight(sample_weight: Any, n_rows: int) -> np.ndarray:
     return weight
 
 
-def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
-    """``-H^-1 g`` by Cholesky; the minimum-norm step when H is singular."""
-    __, solution, info = dposv(hess, grad)
-    if info == 0:
-        return -solution
-    # Singular, e.g. a duplicated column with l2=0: the loss is flat along
-    # the null space, and the minimum-norm step stays in the span of the
-    # data, where L-BFGS from zero stays too.
-    try:
-        return -np.linalg.lstsq(hess, grad, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return None
+class SignedDesign:
+    """One design matrix for many binary fits over its rows.
 
-
-def _binary_newton(
-    X: np.ndarray,
-    positive: np.ndarray,
-    l2: float,
-    sample_weight: np.ndarray | None,
-    max_iter: int,
-) -> np.ndarray:
-    """Minimise the binary logistic loss by damped Newton from zero.
-
-    ``positive`` marks rows of the second class. Returns ``[v, c]``, the
-    minimiser of ``mean_w log(1 + exp(-u)) + (l2/2)/2 ||v||^2`` over the
-    margins ``u = ±(X v + c)``. Each iterate keeps ``log_expit(u)``, which
-    gives both the loss and the next gradient. ``max_iter`` caps Newton
-    iterations; non-finite input returns the zero start, as L-BFGS does.
+    ``Z`` holds the rows signed by class (``positive`` marks the second
+    class), with a ones column for the intercept, so the margins are
+    ``u = Z beta``; ``outer_t`` holds each row's outer product ``z zᵀ`` as
+    a column, so a Hessian is one weighted sum of its columns. Both are
+    built once per matrix. Rows with a non-finite entry are zeroed and
+    flagged in ``finite`` (None when every row is finite): a subset that
+    holds one is not fitted.
     """
-    n, d = X.shape
-    if not np.isfinite(X).all():
-        # The loss is NaN at the start, where L-BFGS stops as well.
-        return np.zeros(d + 1)
-    # Rows signed by class, with a ones column for the intercept: u = Z beta.
-    Z = np.empty((n, d + 1))
-    Z[:, :d] = X
-    Z[:, d] = 1.0
-    Z[~positive] *= -1.0
-    ZT = Z.T
-    scale = (
-        np.full(n, 1.0 / n)
-        if sample_weight is None
-        else sample_weight / sample_weight.sum()
-    )
-    penalty = np.full(d + 1, 0.5 * l2)
-    penalty[d] = 0.0
-    penalty_matrix = np.diag(penalty)
-    beta = np.zeros(d + 1)
-    u = np.zeros(n)
-    log_p = log_expit(u)
-    loss = -float(scale @ log_p)
+
+    def __init__(self, X: np.ndarray, positive: np.ndarray) -> None:
+        n, d = X.shape
+        Z = np.empty((n, d + 1))
+        Z[:, :d] = X
+        Z[:, d] = 1.0
+        np.negative(Z, out=Z, where=~positive[:, None])
+        self.finite = None
+        if not np.isfinite(X).all():
+            self.finite = np.isfinite(Z).all(1)
+            Z[~self.finite] = 0.0
+        self.Z = Z
+        self.ZT = np.ascontiguousarray(Z.T)
+        self.outer_t = (self.ZT[:, None, :] * self.ZT[None, :, :]).reshape(-1, n)
+
+
+def _loss(
+    u: np.ndarray, beta: np.ndarray, scale: np.ndarray, half_penalty: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(-|u|)``, from which the next step reads ``p`` and ``1 - p``,
+    and each subset's penalised loss ``-scale · log(expit(u))``."""
+    e = np.abs(u)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    log_p = np.minimum(u, 0.0)
+    log_p -= np.log1p(e)
+    loss = np.matmul((beta * beta)[:, None, :], half_penalty)[:, 0]
+    loss -= np.matmul(log_p[:, None, :], scale[:, :, None])[:, 0, 0]
+    return e, loss
+
+
+#: A Cholesky pivot this small relative to H's largest diagonal entry marks
+#: an unpenalised H singular: rounding can leave a singular H a tiny
+#: positive pivot, where the factorisation succeeds and the step along the
+#: null space is noise. With l2 > 0 the penalty bounds the pivots away
+#: from zero.
+_TINY_PIVOT = 8 * np.finfo(float).eps
+
+
+def _newton_solve(hess: np.ndarray, grad: np.ndarray, penalised: bool) -> np.ndarray:
+    """``H^-1 g`` for each stacked (H, g) by Cholesky, one LAPACK call per
+    subset; the minimum-norm ``H^+ g`` where H is singular, and NaN where
+    there is none. The Newton step is its negative."""
+    if len(hess) == 1:
+        solved = [dposv(hess[0], grad[0])]
+        solutions = solved[0][1][None]
+    else:
+        solved = [dposv(h, g) for h, g in zip(hess, grad)]
+        solutions = np.array([solution for __, solution, __ in solved])
+    singular = [b for b, (__, __, info) in enumerate(solved) if info]
+    if not penalised:
+        pivots = np.array([factor for factor, __, __ in solved]).diagonal(0, 1, 2)
+        largest = hess.diagonal(0, 1, 2).max(1, keepdims=True)
+        singular += (pivots * pivots <= _TINY_PIVOT * largest).any(1).nonzero()[0].tolist()
+    for b in singular:
+        solutions[b] = _min_norm_solution(hess[b], grad[b])
+    return solutions
+
+
+def _min_norm_solution(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The minimum-norm ``H^+ g`` for a singular H, e.g. a duplicated column
+    with l2=0: the loss is flat along the null space, and this step stays in
+    the span of the data, where L-BFGS from zero stays too."""
+    try:
+        return np.linalg.lstsq(hess, grad, rcond=None)[0]
+    except np.linalg.LinAlgError:
+        return np.full_like(grad, np.nan)
+
+
+@lru_cache(maxsize=8)
+def _penalties(k: int, l2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The L2 penalty ``l2/2`` on all ``k`` parameters but the intercept,
+    half of it, and its diagonal matrix (shared: never written)."""
+    penalty = np.full(k, 0.5 * l2)
+    penalty[-1] = 0.0
+    return penalty, 0.5 * penalty, np.diag(penalty)
+
+
+def binary_newton(
+    design: SignedDesign,
+    masks: np.ndarray,
+    l2: float,
+    max_iter: int,
+    sample_weight: np.ndarray | None = None,
+) -> np.ndarray:
+    """Minimise the binary logistic loss over each row mask by damped Newton.
+
+    Row ``b`` of the result is ``[v, c]``, the minimiser of ``mean_w log(1
+    + exp(-u)) + (l2/2)/2 ||v||^2`` over the margins ``u = ±(X v + c)`` of
+    the rows ``masks[b]`` selects, reached from zero; ``sample_weight``,
+    one weight per row or one row of weights per subset, weighs the mean.
+    Each subset takes its own Cholesky steps, its own Armijo backtracking
+    and its own stop at ``NEWTON_DECREMENT_TOL``; a subset that stops
+    leaves the active set. ``max_iter`` caps each subset's Newton
+    iterations, and a subset holding a non-finite row gets the zero start,
+    where L-BFGS stops as well.
+
+    All B Hessians come from the rows' outer products and the gradients
+    from the rows themselves, and each product is a stacked matmul, one
+    BLAS call per subset (one product over the batch would let BLAS tile
+    it, and a subset's row would then depend on B); every other step is
+    elementwise or a reduction along one subset's row. So a subset's
+    coefficients are bit-identical whatever else its batch holds: fitted
+    alone, B = 1, is the same computation.
+    """
+    Z, ZT, outer_t = design.Z, design.ZT, design.outer_t
+    k = Z.shape[1]
+    masks = np.asarray(masks, dtype=bool)
+    betas = np.zeros((len(masks), k))
+    weights = masks * (1.0 if sample_weight is None else sample_weight)
+    if design.finite is None:
+        active = np.arange(len(masks))
+    else:
+        active = (~(masks & ~design.finite).any(1)).nonzero()[0]
+        weights = weights[active]
+    scale = weights / weights.sum(1, keepdims=True)
+    penalty, half_penalty, penalty_matrix = _penalties(k, l2)
+    penalised = l2 > 0
+    beta = np.zeros((len(active), k))
+    u = np.zeros_like(scale)
+    # At the zero start p = 1 - p = 1/2 for every row and the loss is log 2
+    # for every subset; exp(-|u|) is first read after the first step.
+    e, loss = None, np.log(2.0) * scale.sum(1)
+    q, curvature = 0.5 * scale, 0.25 * scale
     for __ in range(max_iter):
-        weighted_q = scale * -np.expm1(log_p)  # 1 - p, exact where p ~ 1
-        grad = penalty * beta - ZT @ weighted_q
-        hess = (ZT * (weighted_q * np.exp(log_p))) @ Z + penalty_matrix
-        step = _newton_step(hess, grad)
-        if step is None:
+        if not len(active):
             break
-        decrement = -float(grad @ step)
-        if not math.isfinite(decrement):
-            break
-        if decrement <= NEWTON_DECREMENT_TOL:
-            beta = beta + step
-            break
-        du = Z @ step
+        if q is None:
+            r = e + 1.0
+            np.reciprocal(r, out=r)
+            curvature = e * r  # min(p, 1 - p): 1 - p exact where p ~ 1
+            q = np.where(u >= 0.0, curvature, r)
+            q *= scale
+            curvature *= scale
+            curvature *= r
+        grad = penalty * beta - np.matmul(ZT, q[:, :, None])[..., 0]
+        hess = np.matmul(outer_t, curvature[:, :, None]).reshape(-1, k, k)
+        hess += penalty_matrix
+        solution = _newton_solve(hess, grad, penalised)
+        q = None
+        decrement = (grad * solution).sum(1)
+        # A subset stops after a step below the decrement tolerance, which
+        # it takes, or where no step exists or scores as a finite number,
+        # where it stands.
+        finite = np.isfinite(decrement)
+        descent = finite & (decrement > NEWTON_DECREMENT_TOL)
+        if not descent.any():
+            betas[active] = np.where(finite[:, None], beta - solution, beta)
+            return betas
+        # The full step for every subset; Armijo backtracks where it fails.
+        du = np.matmul(Z, solution[:, :, None])[..., 0]
+        trial, trial_u = beta - solution, u - du
+        trial_e, trial_loss = _loss(trial_u, trial, scale, half_penalty)
+        moved = descent & (trial_loss <= loss - ARMIJO_FRACTION * decrement)
+        if moved.all():
+            beta, u, e, loss = trial, trial_u, trial_e, trial_loss
+            continue
+        pending = (descent & ~moved).nonzero()[0]
         t = 1.0
-        trial, trial_u = beta + step, u + du
-        while True:
-            trial_log_p = log_expit(trial_u)
-            trial_loss = 0.5 * float(penalty @ (trial * trial)) - float(
-                scale @ trial_log_p
-            )
-            if trial_loss <= loss - ARMIJO_FRACTION * t * decrement:
-                break
+        while len(pending):
             t *= 0.5
             if t < MIN_STEP:
-                # No decrease the loss can resolve: beta is the optimum
-                # to working precision.
-                return beta
-            trial, trial_u = beta + t * step, u + t * du
-        beta, u, log_p, loss = trial, trial_u, trial_log_p, trial_loss
-    return beta
+                # No decrease the loss can resolve: beta is the optimum to
+                # working precision, and the subset stops where it stands.
+                break
+            back = beta[pending] - t * solution[pending]
+            back_u = u[pending] - t * du[pending]
+            back_e, back_loss = _loss(back_u, back, scale[pending], half_penalty)
+            accept = back_loss <= (
+                loss[pending] - ARMIJO_FRACTION * t * decrement[pending]
+            )
+            done = pending[accept]
+            moved[done] = True
+            trial[done], trial_u[done] = back[accept], back_u[accept]
+            trial_e[done], trial_loss[done] = back_e[accept], back_loss[accept]
+            pending = pending[~accept]
+        # The others stop too where no step decreases the loss.
+        stop = ~moved
+        taken = (finite & ~descent)[stop, None]
+        betas[active[stop]] = np.where(taken, trial[stop], beta[stop])
+        active, scale = active[moved], scale[moved]
+        beta, u, e, loss = trial[moved], trial_u[moved], trial_e[moved], trial_loss[moved]
+    betas[active] = beta
+    return betas
+
+
+def two_class_margins(X: Any, halves: np.ndarray) -> np.ndarray:
+    """Margins ``X v + c`` for each row ``[v, c]`` of ``halves``: the one
+    formula two-class prediction uses, class 1 iff the margin is > 0."""
+    X = check_matrix(X)
+    if not X.flags.c_contiguous:
+        X = np.ascontiguousarray(X)
+    d = X.shape[1]
+    return np.matmul(X, halves[:, :d, None])[..., 0] + halves[:, d:]
 
 
 class LogisticRegression(Estimator):
@@ -223,9 +346,13 @@ class LogisticRegression(Estimator):
             return self
         if n_classes == 2:
             d = X.shape[1]
-            half = 0.5 * _binary_newton(
-                X, y_index == 1, self.l2, weight, self.max_iter
-            )
+            half = 0.5 * binary_newton(
+                SignedDesign(X, y_index == 1),
+                np.ones((1, len(X)), dtype=bool),
+                self.l2,
+                self.max_iter,
+                weight,
+            )[0]
             self.coef_ = np.stack([-half[:d], half[:d]])
             self.intercept_ = np.array([-half[d], half[d]])
             return self
@@ -260,6 +387,9 @@ class LogisticRegression(Estimator):
         if len(self.classes_) < 2:
             X = check_matrix(X)
             return np.repeat(self.classes_[:1], len(X))
+        if len(self.classes_) == 2:
+            half = np.append(self.coef_[1], self.intercept_[1])[None]
+            return self.classes_[(two_class_margins(X, half)[0] > 0).astype(int)]
         return self.classes_[np.argmax(self.decision_function(X), axis=1)]
 
     def log_loss(self, X: Any, y: Any) -> float:

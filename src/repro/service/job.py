@@ -191,6 +191,10 @@ class Job:
         self.progress: dict[str, Any] | None = None
         self.subscribers = 1  # the submitting caller
         self.recovered = False
+        #: ``request.dedup_key()`` as of admission, which later lookups of
+        #: the runtime's active jobs reuse; None when the request opted out
+        #: of deduplication.
+        self.dedup_key: tuple[str, str, str] | None = None
         self._done = asyncio.Event()
         self._streams: list[asyncio.Queue] = []
 

@@ -1,10 +1,13 @@
 """Durable, crash-safe job journal (append-only JSONL).
 
-The journal is the service's write-ahead log: every lifecycle edge of every
-job — submission (with the full JSON request), admission, start, retries,
-and the terminal state — is appended *before* the in-memory state moves on.
-Per-wave progress is not journaled: the engine checkpoint saved at each
-wave already holds the watermark durably. Appends go through
+The journal is the service's write-ahead log: the lifecycle edges of every
+job that recovery reads — submission (with the full JSON request), start,
+retries, and the terminal state — are appended *before* the in-memory
+state moves on. Admission is not journaled: recovery re-enqueues every
+submitted job with no terminal record, queued or not, so a ``queued``
+record told it nothing (journals that hold one still replay). Per-wave
+progress is not journaled either: the engine checkpoint saved at each wave
+already holds the watermark durably. Appends go through
 :func:`repro.obs.atomicio.atomic_append_line`: in place, under the
 cross-process advisory lock, fsync'd before the call returns. Concurrent
 writers (a second runtime sharing the journal directory) cannot
@@ -170,7 +173,7 @@ class JobJournal:
             elif event == "started":
                 entry.attempts = int(payload.get("attempt", entry.attempts)) + 1
                 entry.state = JobState.RUNNING.value
-            elif event == "queued":
+            elif event == "queued":  # written by older runtimes
                 entry.state = JobState.QUEUED.value
             elif event in _TERMINAL_EVENTS:
                 entry.state = event

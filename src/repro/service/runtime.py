@@ -336,8 +336,8 @@ class JobRuntime:
         """
         self.counts["submitted"] += 1
         self._metric("service.submitted")
-        key = request.dedup_key()
-        if request.dedup:
+        key = request.dedup_key() if request.dedup else None
+        if key is not None:
             primary = self._active_by_key.get(key)
             if primary is not None and not primary.done:
                 primary.subscribers += 1
@@ -350,6 +350,7 @@ class JobRuntime:
                 )
                 return primary
         job = Job(self._next_job_id(), request)
+        job.dedup_key = key
         self.jobs[job.job_id] = job
         self._journal("submitted", job.job_id, {"request": request.to_dict()})
         if request.kind not in self._handlers:
@@ -366,11 +367,13 @@ class JobRuntime:
                 "shed_by_priority",
                 f"evicted by higher-priority job {job.job_id}",
             )
+        # Admission is not journaled: recovery re-enqueues every entry with
+        # a request that reached no terminal state, queued or not.
         job.transition(JobState.QUEUED)
-        self._journal("queued", job.job_id)
         self.counts["admitted"] += 1
         self._metric("service.admitted")
-        self._active_by_key[key] = job
+        if key is not None:
+            self._active_by_key[key] = job
         self._note_queue_depth()
         if self._wake is not None:
             self._wake.set()
@@ -410,7 +413,9 @@ class JobRuntime:
             )
             job.transition(JobState.QUEUED)
             self.admission.queue.push(job)
-            self._active_by_key.setdefault(job.request.dedup_key(), job)
+            if job.request.dedup:
+                job.dedup_key = job.request.dedup_key()
+                self._active_by_key.setdefault(job.dedup_key, job)
             self.counts["recovered"] += 1
             self._metric("service.recovered")
             recovered.append(job)
@@ -574,9 +579,8 @@ class JobRuntime:
         """End ``job`` in terminal ``state``. Every terminal state, a
         rejection included, journals and ledger-records the same
         ``job.summary()``."""
-        key = job.request.dedup_key()
-        if self._active_by_key.get(key) is job:
-            self._active_by_key.pop(key, None)
+        if self._active_by_key.get(job.dedup_key) is job:
+            del self._active_by_key[job.dedup_key]
         # Stamp the end first, so the terminal record is durable before the
         # waiters wake and carries what they will read: the terminal state
         # and the final latency.

@@ -1,7 +1,7 @@
 """What `JobRuntime` writes to its journal for one job.
 
-A job appends four records: submitted, queued, started and its terminal
-state. Per-wave progress reaches subscribers but not the journal, and the
+A job appends three records: submitted, started and its terminal state.
+Per-wave progress reaches subscribers but not the journal, and the
 terminal record holds the summary the job has once it is terminal.
 """
 
@@ -52,7 +52,7 @@ def test_progress_streams_to_subscribers_but_is_not_journaled(tmp_path):
     job, seen = asyncio.run(main())
     assert seen == [1, 2, 3]
     assert job_events(journal_path, job.job_id) == [
-        "submitted", "queued", "started", "completed",
+        "submitted", "started", "completed",
     ]
 
 

@@ -15,7 +15,8 @@ import pytest
 import repro.core as nde
 import repro.importance.engine as engine_mod
 from repro.datasets import generate_hiring_data
-from repro.importance import SubsetUtility, ValuationEngine, shapley_mc
+from repro.importance import SubsetUtility, Utility, ValuationEngine, shapley_mc
+from repro.learn import LogisticRegression
 from repro.learn.model_selection import split_frame
 from repro.obs import RunLedger
 from repro.pipeline import execute, letters_pipeline
@@ -56,6 +57,30 @@ def test_identify_mc_reads():
     # shapley_mc evaluates v(N) once before the run; the census counts the run.
     assert census["n_evaluations"] + 1 == utility.n_evaluations - before
     assert set(engine.stats()["cache"]) >= {"hits", "misses"}
+
+
+def test_identify_mc_reads_on_a_batched_utility():
+    """The identity above on the utility ``identify_mc`` values, whose scans
+    fit prefixes in batches: speculative fits stay out of both counts."""
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(90, 4))
+    y = (x @ np.array([1.5, -1.0, 0.8, 0.0]) + 0.5 * rng.normal(size=90) > 0).astype(int)
+    y[rng.choice(60, 12, replace=False)] ^= 1
+    utility = Utility(LogisticRegression(max_iter=100), x[:60], y[:60], x[60:], y[60:])
+    before = utility.n_evaluations
+    result = shapley_mc(
+        None,
+        n_permutations=50,
+        truncation_tolerance=0.02,
+        seed=0,
+        max_evals=100,
+        check_every=1,
+        engine=ValuationEngine(utility),
+    )
+    census = result.extras["census"]
+    assert result.extras["stop_reason"] == "eval_budget"
+    assert census["truncated_scans"] > 0 and census["speculative_fits"] >= 0
+    assert census["n_evaluations"] + 1 == utility.n_evaluations - before
 
 
 def test_debug_pipeline_reads():

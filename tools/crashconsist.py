@@ -25,9 +25,11 @@ The parent then verifies, per case:
    torn records (atomicity); each short write or torn append leaves
    exactly one, and it lands in the ``.corrupt`` sidecar.
 4. **Resumed valuations are bit-identical.** A valuation killed at any
-   checkpoint-write fault point resumes — falling back to the other
-   checkpoint slot when the newest snapshot was torn — and produces values
-   ``np.array_equal`` to a run that was never interrupted.
+   checkpoint-write fault point resumes from the newest snapshot it wrote
+   whole — falling back to the other checkpoint slot when the newest
+   snapshot was torn, in place or on disk — and produces values
+   ``np.array_equal`` to a run that was never interrupted. A fault in a
+   store's first save, which is staged and renamed, leaves no snapshot.
 
 Run it standalone (CI's durability-smoke job does)::
 
@@ -72,10 +74,12 @@ CRASH_KINDS = ("crash_before_rename", "crash_after_rename")
 TORN_KINDS = ("short_write", "torn_append")
 
 #: Valuation run shape for the checkpoint scenario: 30 permutations in
-#: waves of 5 → 6 checkpoint saves, one commit each (the slots alternate).
+#: waves of 5 → 6 checkpoint saves, one commit each (the slots alternate;
+#: the first is staged and renamed, the rest overwrite a slot in place).
 CK_PERMUTATIONS = 30
 CK_SEED = 5
 CK_CHECK_EVERY = 5
+CK_SAVES = CK_PERMUTATIONS // CK_CHECK_EVERY
 
 #: Commit ordinal of the *final* snapshot write (wave 6 of 6). A fault
 #: here is the only one later waves cannot paper over, so the sweep always
@@ -258,20 +262,37 @@ def _load_journal(path: Path):
     return present, journal.last_load_report
 
 
+def expected_watermark(kind: str, op: int) -> int:
+    """Where a valuation faulted at checkpoint save ``op`` must resume: the
+    newest snapshot it wrote whole. A writer that dies before publishing
+    save ``op`` (or mid-overwrite) resumes from the save before; one that
+    dies just after, from save ``op``. A short write is acknowledged and
+    the writer runs on, so a later save overwrites the torn slot, except
+    after the final save, which falls back to the one before it."""
+    if op >= CK_SAVES:
+        return CK_PERMUTATIONS  # the fault never fired
+    if kind in ("crash_before_rename", "torn_append"):
+        return CK_CHECK_EVERY * op
+    if kind == "crash_after_rename":
+        return CK_CHECK_EVERY * (op + 1)
+    return CK_PERMUTATIONS - CK_CHECK_EVERY * (op == CK_SAVES - 1)
+
+
 def sweep_checkpoint(
     workdir: Path,
     ops: range | list | None = None,
-    kinds: tuple = CRASH_KINDS + ("short_write",),
+    kinds: tuple = CRASH_KINDS + TORN_KINDS,
 ) -> list[dict]:
     """Kill a valuation mid-checkpoint-write at each fault point; verify
-    the resumed run is bit-identical to an uninterrupted reference."""
+    the resumed run starts from the newest snapshot written whole and is
+    bit-identical to an uninterrupted reference."""
     reference = ValuationEngine(_game()).run_permutations(
         CK_PERMUTATIONS, seed=CK_SEED, check_every=CK_CHECK_EVERY
     )
     cases = []
     # 6 waves x 1 slot write = 6 commits; sweep a prefix, plus always the
-    # final write — the one fault later waves cannot overwrite, so it
-    # exercises the fallback to the other slot.
+    # final write — the one fault later waves cannot overwrite, so a torn
+    # final overwrite exercises the fallback to the other slot.
     ops = sorted(
         set(ops if ops is not None else range(6)) | {CK_FINAL_PRIMARY_OP}
     )
@@ -283,10 +304,13 @@ def sweep_checkpoint(
                     CHECKPOINT_CHILD, kind, op, ck,
                     CK_PERMUTATIONS, CK_SEED, CK_CHECK_EVERY,
                 )
-                fired = code == CRASH_EXIT if kind in CRASH_KINDS else True
+                fired = code == CRASH_EXIT if kind != "short_write" else True
                 failures = []
                 if code not in (0, CRASH_EXIT):
                     failures.append(f"writer died unexpectedly (exit {code})")
+                unpublished = kind in ("crash_before_rename", "torn_append")
+                if op == 0 and unpublished and CheckpointStore(ck).exists():
+                    failures.append("a fault in the first save left a snapshot")
                 store = CheckpointStore(ck)
                 try:
                     store.load()  # invariant 1: loaders never raise...
@@ -305,6 +329,12 @@ def sweep_checkpoint(
                 if not np.array_equal(resumed.values(), reference.values()):
                     failures.append(
                         "resumed values differ from uninterrupted reference"
+                    )
+                watermark = expected_watermark(kind, op)
+                if int(resumed.resumed_from or 0) != watermark:
+                    failures.append(
+                        f"resumed from {resumed.resumed_from}, not from the "
+                        f"newest snapshot written whole ({watermark})"
                     )
                 recovery = store.last_recovery or resume_store.last_recovery
                 cases.append(
