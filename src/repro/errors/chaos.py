@@ -502,30 +502,26 @@ class DiskChaos(IOHooks):
 
     Install with :func:`repro.obs.atomicio.io_hooks` (scoped) or
     :func:`~repro.obs.atomicio.install_io_hooks`; every
-    :func:`~repro.obs.atomicio.atomic_writer` commit, every
-    :func:`~repro.obs.atomicio.overwrite_in_place` and every
+    :func:`~repro.obs.atomicio.atomic_writer` commit and every
     :func:`~repro.obs.atomicio.atomic_append_line` then counts as one *op*
     and may fault:
 
     - ``short_write`` — the write loses its last ``short_write_bytes``
       bytes yet is acknowledged: a snapshot's staged file is truncated
-      before the rename publishes it, an in-place overwrite or an append
-      writes all but the tail (what a real partial write leaves after
-      power loss);
+      before the rename publishes it, an append writes all but the tail of
+      its line (what a real partial write leaves after power loss);
     - ``torn_append`` — the writer dies after writing all but the last
       ``short_write_bytes`` bytes, before its fsync, and never
       acknowledges the write (a snapshot's staged file is left
-      unpublished, an in-place overwrite leaves its file torn);
+      unpublished);
     - ``enospc`` — ``OSError(ENOSPC)`` before anything is published; the
-      write aborts (a staged snapshot leaves the target untouched, an
-      in-place overwrite removes its file);
+      write aborts and the target is untouched;
     - ``eio_fsync`` — ``on_fsync`` raises ``OSError(EIO)`` (dying disk);
     - ``lying_fsync`` — the real fsync is *skipped* but the write
       continues (firmware that acknowledges flushes it never performed);
     - ``crash_before_rename`` / ``crash_after_rename`` — the process dies
       just before the write is published (before ``os.replace``; before an
-      in-place overwrite opens its file; before an append writes) or just
-      after (after ``os.replace``; after an in-place overwrite's or an
+      append writes) or just after (after ``os.replace``; after an
       append's fsync), before the call returns. Every crash either raises
       :class:`~repro.obs.atomicio.SimulatedCrash`
       (``crash_mode="raise"``, for in-process tests — it derives from
@@ -585,8 +581,6 @@ class DiskChaos(IOHooks):
         self.n_ops = 0
         self._lock = threading.Lock()
         self._pending: tuple[int, str] | None = None
-        #: An in-place overwrite's path, counted before its commit.
-        self._opened: Path | None = None
 
     # -- decisions -------------------------------------------------------
     def disk_fault(self, op_ord: int) -> str | None:
@@ -622,7 +616,6 @@ class DiskChaos(IOHooks):
             self.triggered.clear()
             self.n_ops = 0
             self._pending = None
-            self._opened = None
 
     # -- internals -------------------------------------------------------
     def _targets(self, path: Path) -> bool:
@@ -673,10 +666,7 @@ class DiskChaos(IOHooks):
 
     # -- IOHooks call points ---------------------------------------------
     def on_commit(self, path: Path, handle: TextIO) -> None:
-        with self._lock:
-            counted, self._opened = self._opened == path, None
-        if not counted:
-            self._next_op(path)
+        self._next_op(path)
         kind = self._fire(path, "short_write", "torn_append", "enospc")
         if kind == "enospc":
             raise self._enospc(path)
@@ -712,17 +702,9 @@ class DiskChaos(IOHooks):
             self._crash(kind, path)
         return kind is None  # lying_fsync: report success, flush nothing
 
-    def on_replace(self, tmp: str | None, path: Path, when: str) -> None:
-        if tmp is None and when == "before":
-            # An in-place overwrite: its op starts here, before the file is
-            # opened, and its commit does not count it again.
-            self._next_op(path)
-            with self._lock:
-                self._opened = path
+    def on_replace(self, tmp: str, path: Path, when: str) -> None:
         kind = self._fire(path, f"crash_{when}_rename")
         if kind is not None:
-            with self._lock:
-                self._opened = None
             self._crash(kind, path)
 
     def on_dirsync(self, dirpath: Path) -> bool:

@@ -5,21 +5,17 @@ the toolkit — hours of model retrainings whose only output is a handful of
 accumulator arrays. A preempted or killed run used to lose every
 permutation already paid for. This module makes valuation state durable:
 
-- :class:`CheckpointStore` persists schema-versioned, CRC-framed JSON
-  snapshots in two slot files and alternates between them, so a store
-  always holds its newest snapshot and the one before it. A save
-  overwrites, in place, the slot that does not hold the newest snapshot
-  (truncate + write + fsync under a ``flock`` on the slot, via
-  :mod:`repro.obs.atomicio`), so a run killed *mid-write* tears only
-  that slot and the newest snapshot stays intact. A store's first save
-  has no other slot to fall back on, so it is staged and renamed (+ fsync
-  + directory fsync): killed mid-write, it leaves no snapshot. Loads
-  verify both envelope checksums under a shared ``flock``; a torn slot,
-  or one corrupted *after* the fact (bit rot, a partial restore), is
-  quarantined to its ``<file>.corrupt`` sidecar and the other slot serves
-  instead — resuming from an older watermark is always correct (merely
-  slower) because the RNG position is fully captured by ``(seed,
-  completed watermark)``.
+- :class:`CheckpointStore` persists a schema-versioned, CRC-framed JSON
+  snapshot atomically (staged + fsync + rename + directory fsync, via
+  :mod:`repro.obs.atomicio`), so a run killed *mid-write* leaves the
+  previous snapshot intact and a resumed run never loads a torn file.
+  Saves alternate between two slot files, so a store always holds its
+  newest snapshot and the one before it. Loads verify both envelope
+  checksums; a slot corrupted *after* the fact (bit rot, a partial
+  restore) is quarantined to its ``<file>.corrupt`` sidecar and the other
+  slot serves instead — resuming from an older watermark is always
+  correct (merely slower) because the RNG position is fully captured by
+  ``(seed, completed watermark)``.
 - :func:`config_fingerprint` hashes everything that determines the
   sampling trajectory — game size, seed, target budget, position weights,
   truncation/convergence settings, antithetic pairing — and the store
@@ -50,10 +46,8 @@ import numpy as np
 from ..obs.atomicio import (
     atomic_write_text,
     frame_line,
-    overwrite_in_place,
     quarantine_file,
     record_storage_alert,
-    shared_read,
     unframe,
 )
 
@@ -107,29 +101,23 @@ def config_fingerprint(config: Mapping[str, Any]) -> str:
 
 
 class CheckpointStore:
-    """Durable, schema-versioned snapshots of one valuation run, in two slots.
+    """Atomic, schema-versioned snapshots of one valuation run, in two slots.
 
     Slot 0 is ``path`` itself and slot 1 its sibling ``<name>.prev``. Each
-    :meth:`save` makes one write, to the slot that does not hold the newest
-    snapshot this store has loaded or written, so the store keeps exactly
-    two snapshots: the newest and the one before it. The point is crash
-    durability, not time travel. A snapshot is a single JSON document::
+    :meth:`save` makes one atomic write, to the slot that does not hold the
+    newest snapshot this store has loaded or written, so the store keeps
+    exactly two snapshots: the newest and the one before it. The point is
+    crash durability, not time travel. A snapshot is a single JSON
+    document::
 
         {"schema_version": 1, "kind": "permutation", "fingerprint": "...",
          "completed": 40, "totals": [...], "sumsq": [...], ...}
 
-    A save overwrites its slot in place
-    (:func:`repro.obs.atomicio.overwrite_in_place`): that slot never holds
-    the newest snapshot, so a save torn by a crash fails its CRC and
-    ``load`` serves the other slot. A store that has neither loaded nor
-    saved has no such fallback: its first save removes slot 1, so a
-    snapshot an earlier run left there never outranks this run's first
-    one, and writes slot 0 by staging and renaming
-    (:func:`repro.obs.atomicio.atomic_write_text`). Either way, once
-    ``save`` returns the snapshot survives power loss. ``load`` reads each
-    slot under a shared lock, so it never judges a slot mid-overwrite, and
-    validates the schema version and (when asked) the config fingerprint
-    before handing state back.
+    ``save`` goes through :func:`repro.obs.atomicio.atomic_write_text`;
+    ``load`` validates the schema version and (when asked) the config
+    fingerprint before handing state back. A store that has neither loaded
+    nor saved removes slot 1 before its first write, so a snapshot an
+    earlier run left there never outranks this run's first one.
     """
 
     def __init__(self, path: Any) -> None:
@@ -147,23 +135,21 @@ class CheckpointStore:
         return any(slot.exists() for slot in self._slots)
 
     def save(self, state: Mapping[str, Any]) -> None:
-        """Durably write ``state`` to the slot not holding the newest
+        """Atomically write ``state`` to the slot not holding the newest
         snapshot, which stays behind as the fallback."""
-        text = frame_line({"schema_version": CHECKPOINT_SCHEMA_VERSION, **state}) + "\n"
+        payload = {"schema_version": CHECKPOINT_SCHEMA_VERSION, **state}
         if self._newest is None:
             self._slots[1].unlink(missing_ok=True)
-            atomic_write_text(self._slots[0], text)
-            self._newest = 0
+            target = 0
         else:
             target = 1 - self._newest
-            overwrite_in_place(self._slots[target], text)
-            self._newest = target
+        atomic_write_text(self._slots[target], frame_line(payload) + "\n")
+        self._newest = target
 
-    @staticmethod
-    def _parse_snapshot(
-        path: Path, text: str
+    def _read_snapshot(
+        self, path: Path
     ) -> tuple[dict[str, Any] | None, str | None, str | None]:
-        """Parse + CRC-verify one snapshot file's text.
+        """Parse + CRC-verify one snapshot file.
 
         Returns ``(payload, error_message, reason_tag)`` — exactly one of
         ``payload`` / ``error_message`` is set. Never raises: callers
@@ -171,7 +157,10 @@ class CheckpointStore:
         or merely a reason to fall back to the other slot.
         """
         try:
-            obj = json.loads(text)
+            with open(path, "r", encoding="utf-8", errors="replace") as handle:
+                obj = json.loads(handle.read())
+        except OSError as exc:
+            return None, f"unreadable checkpoint at {path}: {exc}", "unreadable"
         except json.JSONDecodeError as exc:
             return None, f"unreadable checkpoint at {path}: {exc}", "not_json"
         payload, err = unframe(obj)
@@ -204,19 +193,13 @@ class CheckpointStore:
         found: dict[int, dict[str, Any]] = {}
         damaged: list[tuple[Path, str]] = []
         for index, slot in enumerate(self._slots):
-            try:
-                with shared_read(slot) as text:
-                    payload, error, reason = self._parse_snapshot(slot, text)
-                    if error is not None:
-                        quarantine_file(slot, artifact="checkpoint", reason=reason)
-            except FileNotFoundError:
+            if not slot.exists():
                 continue
-            except OSError as exc:
-                error = f"unreadable checkpoint at {slot}: {exc}"
-                quarantine_file(slot, artifact="checkpoint", reason="unreadable")
+            payload, error, reason = self._read_snapshot(slot)
             if error is None:
                 found[index] = payload
             else:
+                quarantine_file(slot, artifact="checkpoint", reason=reason)
                 damaged.append((slot, error))
         if damaged:
             slot, error = damaged[0]

@@ -377,8 +377,9 @@ class ValuationResult:
 
 
 class _ScanSource:
-    """Where a permutation scan reads ``v(S)``: the values it holds, then
-    fits of the rest, in one batch where the utility allows it.
+    """Where a permutation scan, or a list of subsets, reads ``v(S)``: the
+    values it holds, then fits of the rest, in one batch where the utility
+    allows it.
 
     A subclass says which values it holds (:meth:`held`) and accounts for
     each value the scan uses (:meth:`credit`). Fits are counted in the
@@ -421,6 +422,26 @@ class _ScanSource:
     def discard(self, n_fits: int) -> None:
         """Take ``n_fits`` unused fits back out of ``n_evaluations``."""
         self.utility.n_evaluations -= n_fits
+
+    def values(self, keys: Sequence[tuple[int, ...]]) -> list[float]:
+        """Each key's value, in order, credited as a scan credits a prefix.
+        The misses among each run of :data:`_MAX_BATCH` keys are fitted in
+        one batch where the utility allows it (one key at a time
+        otherwise); a key a run repeats is read again where it recurs."""
+        size = _MAX_BATCH if self.batched else 1
+        out = []
+        for start in range(0, len(keys), size):
+            block = keys[start : start + size]
+            unique = list(dict.fromkeys(block))
+            first = dict(zip(unique, zip(*self.read(unique))))
+            for key in block:
+                if key in first:
+                    value, fitted = first.pop(key)
+                else:
+                    (value,), (fitted,) = self.read([key])
+                self.credit(key, value, fitted)
+                out.append(value)
+        return out
 
 
 def _scan_orderings(
@@ -526,14 +547,6 @@ class _ChunkSource(_ScanSource):
             self.cache[key] = self.new_entries[key] = value
         else:
             self.counters[0] += 1
-
-    def evaluate(self, key: tuple[int, ...]) -> float:
-        """``v(key)`` one subset at a time, as a subset chunk asks."""
-        value = self.cache.get(key)
-        if value is None:
-            value = float(self.utility.evaluate(np.asarray(key, dtype=np.int64)))
-        self.credit(key, value, key not in self.cache)
-        return value
 
 
 def _prefix_keys(order: np.ndarray) -> Iterator[tuple[int, ...]]:
@@ -940,7 +953,7 @@ class ValuationEngine:
             "engine.evaluate_many", n_subsets=len(keys)
         ) as sp, self._stats_window():
             if pool is None or len(keys) <= 1:
-                return np.asarray([self._memo(key) for key in keys])
+                return np.asarray(_MemoSource(self, fits=True).values(keys))
             values: dict[tuple[int, ...], float] = {}
             pending: list[tuple[int, ...]] = []
             for key in OrderedDict.fromkeys(keys):

@@ -124,8 +124,8 @@ def _pool_task(state: dict, payload: Mapping[str, Any]):
     A chunk's subset values live in a dict that dies with the chunk: a
     permutation chunk seeds it with the ``known`` values the driver's memo
     held for its prefixes (NaN where it held none), and every evaluation
-    adds to it, so repeats within the chunk are evaluated once. The scan
-    fits the rest as the driver's would, in batches where the utility
+    adds to it, so repeats within the chunk are evaluated once. The rest
+    are fitted as the driver fits them, in batches where the utility
     allows it.
     """
     kind = payload["kind"]
@@ -153,7 +153,7 @@ def _pool_task(state: dict, payload: Mapping[str, Any]):
             payload["full"],
         )
     elif kind == "subset":
-        output = [source.evaluate(tuple(key)) for key in payload["keys"]]
+        output = source.values([tuple(key) for key in payload["keys"]])
     else:  # pragma: no cover
         raise ValueError(f"unknown pool task kind: {kind!r}")
     evals = utility.n_evaluations - evals_before

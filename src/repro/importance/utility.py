@@ -111,8 +111,8 @@ class Utility:
         return self.evaluate(np.arange(self.n_train))
 
     def _evaluate_batch(self, keys: Sequence[tuple[int, ...]]) -> list[float]:
-        """``v(S)`` for many non-empty subsets given as sorted index tuples,
-        fitted in one kernel call (see :meth:`_evaluate_masks`)."""
+        """``v(S)`` for many subsets given as sorted index tuples, fitted in
+        one kernel call (see :meth:`_evaluate_masks`)."""
         sizes = [len(key) for key in keys]
         masks = np.zeros((len(keys), self.n_train), dtype=bool)
         masks[
@@ -122,21 +122,23 @@ class Utility:
         return self._evaluate_masks(masks)
 
     def _evaluate_masks(self, masks: np.ndarray) -> list[float]:
-        """``v(S)`` for the non-empty subsets ``masks`` selects.
+        """``v(S)`` for the subsets ``masks`` selects.
 
-        What :meth:`evaluate` computes, subset by subset: a single-class
-        subset scores its constant predictor, and the others share one
+        What :meth:`evaluate` computes, subset by subset: the empty subset
+        is ``null_score``, a single-class subset scores its constant
+        predictor, and the others share one
         :func:`~repro.learn.models.logistic.binary_newton` call over row
         masks of the whole training matrix, with no estimator object per
-        subset. Each subset counts toward ``n_evaluations``. Only reached
-        where :func:`batch_evaluator` accepts the utility.
+        subset. Each non-empty subset counts toward ``n_evaluations``.
+        Only reached where :func:`batch_evaluator` accepts the utility.
         """
         design, positive, x_valid = self._design
+        size = masks.sum(1)
         n_positive = (masks & positive).sum(1)
-        mixed = (n_positive > 0) & (n_positive < masks.sum(1))
-        self.n_evaluations += len(masks)
-        values = [0.0] * len(masks)
-        for b in (~mixed).nonzero()[0]:
+        mixed = (n_positive > 0) & (n_positive < size)
+        self.n_evaluations += int(np.count_nonzero(size))
+        values = [self.null_score] * len(masks)
+        for b in (~mixed & (size > 0)).nonzero()[0]:
             label = self._classes[int(n_positive[b] > 0)]
             constant = np.repeat(label, len(self.y_valid))
             values[b] = float(self.metric(self.y_valid, constant))

@@ -21,6 +21,7 @@ objective.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Any
 
@@ -110,11 +111,10 @@ class SignedDesign:
 
     ``Z`` holds the rows signed by class (``positive`` marks the second
     class), with a ones column for the intercept, so the margins are
-    ``u = Z beta``; ``outer_t`` holds each row's outer product ``z zᵀ`` as
-    a column, so a Hessian is one weighted sum of its columns. Both are
-    built once per matrix. Rows with a non-finite entry are zeroed and
-    flagged in ``finite`` (None when every row is finite): a subset that
-    holds one is not fitted.
+    ``u = Z beta``; ``ZT`` is its contiguous transpose. Both are built once
+    per matrix. Rows with a non-finite entry are zeroed and flagged in
+    ``finite`` (None when every row is finite): a subset that holds one is
+    not fitted.
     """
 
     def __init__(self, X: np.ndarray, positive: np.ndarray) -> None:
@@ -129,7 +129,6 @@ class SignedDesign:
             Z[~self.finite] = 0.0
         self.Z = Z
         self.ZT = np.ascontiguousarray(Z.T)
-        self.outer_t = (self.ZT[:, None, :] * self.ZT[None, :, :]).reshape(-1, n)
 
 
 def _loss(
@@ -159,12 +158,8 @@ def _newton_solve(hess: np.ndarray, grad: np.ndarray, penalised: bool) -> np.nda
     """``H^-1 g`` for each stacked (H, g) by Cholesky, one LAPACK call per
     subset; the minimum-norm ``H^+ g`` where H is singular, and NaN where
     there is none. The Newton step is its negative."""
-    if len(hess) == 1:
-        solved = [dposv(hess[0], grad[0])]
-        solutions = solved[0][1][None]
-    else:
-        solved = [dposv(h, g) for h, g in zip(hess, grad)]
-        solutions = np.array([solution for __, solution, __ in solved])
+    solved = [dposv(h, g) for h, g in zip(hess, grad)]
+    solutions = np.array([solution for __, solution, __ in solved])
     singular = [b for b, (__, __, info) in enumerate(solved) if info]
     if not penalised:
         pivots = np.array([factor for factor, __, __ in solved]).diagonal(0, 1, 2)
@@ -183,6 +178,12 @@ def _min_norm_solution(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(hess, grad, rcond=None)[0]
     except np.linalg.LinAlgError:
         return np.full_like(grad, np.nan)
+
+
+#: Floats one stacked Hessian product may stage: ``Zᵀ`` scaled by each
+#: subset's curvature takes ``(d + 1) · n`` of them a subset, so a batch
+#: over a wide or long design forms its Hessians in slices of subsets.
+_HESSIAN_STAGING_FLOATS = 1 << 20
 
 
 @lru_cache(maxsize=8)
@@ -213,15 +214,15 @@ def binary_newton(
     iterations, and a subset holding a non-finite row gets the zero start,
     where L-BFGS stops as well.
 
-    All B Hessians come from the rows' outer products and the gradients
-    from the rows themselves, and each product is a stacked matmul, one
-    BLAS call per subset (one product over the batch would let BLAS tile
-    it, and a subset's row would then depend on B); every other step is
-    elementwise or a reduction along one subset's row. So a subset's
-    coefficients are bit-identical whatever else its batch holds: fitted
-    alone, B = 1, is the same computation.
+    Each subset's gradient ``Zᵀ q`` and Hessian ``(Zᵀ ∘ curvature) Z``
+    are stacked matmuls, one BLAS call per subset (one product over the
+    batch would let BLAS tile it, and a subset's row would then depend on
+    B), staged in slices of at most ``_HESSIAN_STAGING_FLOATS``; every
+    other step is elementwise or a reduction along one subset's row. So a
+    subset's coefficients are bit-identical whatever else its batch holds:
+    fitted alone, B = 1, is the same computation.
     """
-    Z, ZT, outer_t = design.Z, design.ZT, design.outer_t
+    Z, ZT = design.Z, design.ZT
     k = Z.shape[1]
     masks = np.asarray(masks, dtype=bool)
     betas = np.zeros((len(masks), k))
@@ -234,6 +235,7 @@ def binary_newton(
     scale = weights / weights.sum(1, keepdims=True)
     penalty, half_penalty, penalty_matrix = _penalties(k, l2)
     penalised = l2 > 0
+    per_product = max(1, _HESSIAN_STAGING_FLOATS // ZT.size)
     beta = np.zeros((len(active), k))
     u = np.zeros_like(scale)
     # At the zero start p = 1 - p = 1/2 for every row and the loss is log 2
@@ -244,35 +246,50 @@ def binary_newton(
         if not len(active):
             break
         if q is None:
+            # With r = 1 + e: max(p, 1 - p) = 1 / r and min(p, 1 - p) =
+            # e / r, so 1 - p stays exact where p ~ 1.
             r = e + 1.0
-            np.reciprocal(r, out=r)
-            curvature = e * r  # min(p, 1 - p): 1 - p exact where p ~ 1
-            q = np.where(u >= 0.0, curvature, r)
-            q *= scale
-            curvature *= scale
-            curvature *= r
+            q = scale / r
+            curvature = q * e
+            q = np.where(u >= 0.0, curvature, q)
+            curvature /= r
         grad = penalty * beta - np.matmul(ZT, q[:, :, None])[..., 0]
-        hess = np.matmul(outer_t, curvature[:, :, None]).reshape(-1, k, k)
+        if len(active) <= per_product:
+            hess = np.matmul(ZT * curvature[:, None, :], Z)
+        else:
+            hess = np.concatenate([
+                np.matmul(ZT * curvature[start : start + per_product, None, :], Z)
+                for start in range(0, len(active), per_product)
+            ])
         hess += penalty_matrix
         solution = _newton_solve(hess, grad, penalised)
         q = None
         decrement = (grad * solution).sum(1)
         # A subset stops after a step below the decrement tolerance, which
         # it takes, or where no step exists or scores as a finite number,
-        # where it stands.
-        finite = np.isfinite(decrement)
-        descent = finite & (decrement > NEWTON_DECREMENT_TOL)
-        if not descent.any():
+        # where it stands. The tests on one number per subset run on Python
+        # floats, which for a few subsets cost less than array calls.
+        steps = decrement.tolist()
+        descent = [NEWTON_DECREMENT_TOL < step < math.inf for step in steps]
+        if not any(descent):
+            finite = np.isfinite(decrement)
             betas[active] = np.where(finite[:, None], beta - solution, beta)
             return betas
         # The full step for every subset; Armijo backtracks where it fails.
         du = np.matmul(Z, solution[:, :, None])[..., 0]
         trial, trial_u = beta - solution, u - du
         trial_e, trial_loss = _loss(trial_u, trial, scale, half_penalty)
-        moved = descent & (trial_loss <= loss - ARMIJO_FRACTION * decrement)
-        if moved.all():
+        moved = [
+            down and new <= old - ARMIJO_FRACTION * step
+            for down, new, old, step in zip(
+                descent, trial_loss.tolist(), loss.tolist(), steps
+            )
+        ]
+        if all(moved):
             beta, u, e, loss = trial, trial_u, trial_e, trial_loss
             continue
+        finite = np.isfinite(decrement)
+        descent, moved = np.array(descent), np.array(moved)
         pending = (descent & ~moved).nonzero()[0]
         t = 1.0
         while len(pending):

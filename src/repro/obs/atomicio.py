@@ -6,10 +6,9 @@ checkpoints) may be read while a writer is mid-flight and must survive the
 writer being killed at any instant. This module is the single place those
 guarantees are implemented, in three layers:
 
-**Atomicity** — three write paths, one per artifact shape. Whole-file
-artifacts with no second copy (journal compaction, trace exports, flight
-dumps, a checkpoint store's first snapshot) use the classic ``write temp +
-fsync + rename`` protocol
+**Atomicity** — two write paths, one per artifact shape. Whole-file
+snapshots (checkpoints, journal compaction, trace exports, flight dumps)
+use the classic ``write temp + fsync + rename`` protocol
 (:func:`atomic_writer`): content is staged in a temporary file *in the
 target's directory* (same filesystem, so the rename is atomic), flushed
 and fsync'd, then moved over the target with :func:`os.replace`, after
@@ -18,13 +17,6 @@ a power loss after the rename was acknowledged can resurrect the old file
 from the directory's stale metadata. Readers see either the old file or
 the new one, never a mixture; a writer killed at any point leaves the
 target untouched.
-
-A checkpoint slot that does not hold the newest snapshot is overwritten in
-place (:func:`overwrite_in_place`): under an exclusive ``flock`` on the
-file itself it is written over, cut to length and fsync'd. A writer killed mid-write
-leaves the slot torn, which its CRC framing detects; the store's other
-slot, never written at the same time, then serves. Readers take the
-shared lock (:func:`shared_read`), so they never see a write half done.
 
 Append-only logs (the run ledger, the job journal) are appended in place
 (:func:`atomic_append_line`): under a cross-process ``fcntl`` advisory
@@ -98,7 +90,6 @@ __all__ = [
     "atomic_writer",
     "atomic_write_text",
     "atomic_append_line",
-    "overwrite_in_place",
     "canonical_json",
     "crc32_hex",
     "frame_line",
@@ -110,7 +101,6 @@ __all__ = [
     "read_export",
     "read_jsonl",
     "record_storage_alert",
-    "shared_read",
     "storage_alerts",
     "unframe",
     "write_export",
@@ -156,11 +146,6 @@ class IOHooks:
     4. :meth:`on_dirsync` — before the parent-directory fsync; return
        ``False`` to skip it (the lying disk again).
 
-    :func:`overwrite_in_place` calls :meth:`on_replace` with ``tmp=None``
-    and ``"before"`` before the file is opened, then :meth:`on_commit`,
-    :meth:`on_fsync`, :meth:`on_replace` with ``"after"`` once the fsync
-    returned, and :meth:`on_dirsync` only when the write created the file.
-
     :func:`atomic_append_line` calls, in append order:
 
     1. :meth:`on_append` with ``when="before"`` — before the line is
@@ -179,7 +164,7 @@ class IOHooks:
     def on_fsync(self, path: Path, fileno: int) -> bool:
         return True
 
-    def on_replace(self, tmp: str | None, path: Path, when: str) -> None:
+    def on_replace(self, tmp: str, path: Path, when: str) -> None:
         return None
 
     def on_append(self, path: Path, data: bytes, when: str) -> bytes:
@@ -330,104 +315,6 @@ def atomic_write_text(path: Any, text: str, encoding: str = "utf-8") -> None:
     """Replace ``path``'s contents with ``text`` atomically and durably."""
     with atomic_writer(path, encoding=encoding) as handle:
         handle.write(text)
-
-
-def _open_locked(path: Path, exclusive: bool) -> tuple[int, bool]:
-    """Open ``path``, creating it for a writer, and ``flock`` the file.
-
-    Returns ``(fd, created)`` once the lock is held on the file ``path``
-    still names: a rename or an unlink between the open and the lock
-    leaves the lock on a file nobody else reads, so the open is retried.
-    A reader of a missing file gets ``FileNotFoundError``.
-    """
-    while True:
-        created = False
-        try:
-            fd = os.open(path, os.O_RDWR if exclusive else os.O_RDONLY)
-        except FileNotFoundError:
-            if not exclusive:
-                raise
-            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
-            created = True
-        if _fcntl is None:
-            return fd, created
-        _fcntl.flock(fd, _fcntl.LOCK_EX if exclusive else _fcntl.LOCK_SH)
-        try:
-            if os.path.samestat(os.fstat(fd), os.stat(path)):
-                return fd, created
-        except FileNotFoundError:
-            pass
-        os.close(fd)
-
-
-def overwrite_in_place(path: Any, text: str, encoding: str = "utf-8") -> None:
-    """Durably replace ``path``'s contents with ``text`` in place.
-
-    Holding an exclusive ``flock`` on the file itself, the write puts
-    ``text`` over the old bytes from the start, cuts the file to its
-    length and fsyncs; the parent directory is fsync'd only when this
-    write created the file. Overwriting the blocks a file already has,
-    rather than emptying it first, spares the filesystem freeing and
-    allocating them again. One write and one fsync, no staging copy, but
-    not atomic: a writer that dies mid-write leaves the file torn. It is
-    for a file a reader can lose, such as a checkpoint slot that does not
-    hold the newest snapshot, where the CRC framing detects the tear and
-    the other slot serves. If anything raises before the fsync returns,
-    the file is removed, so a write that raised leaves nothing torn
-    behind. Readers that take the shared lock (:func:`shared_read`) never
-    see the write half done.
-
-    :class:`IOHooks` calls: :meth:`~IOHooks.on_replace` with ``tmp=None``
-    and ``"before"`` before the file is opened; :meth:`~IOHooks.on_commit`
-    after the bytes are written; :meth:`~IOHooks.on_fsync`;
-    :meth:`~IOHooks.on_replace` with ``"after"`` once the fsync returned,
-    the point the write is published; :meth:`~IOHooks.on_dirsync` only
-    when the write created the file.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = text.encode(encoding)
-    hooks = _IO_HOOKS
-    if hooks is not None:
-        hooks.on_replace(None, path, "before")
-    fd, created = _open_locked(path, exclusive=True)
-    try:
-        with os.fdopen(fd, "wb", closefd=False) as handle:
-            try:
-                handle.write(data)
-                handle.flush()
-                os.ftruncate(fd, len(data))
-                if hooks is not None:
-                    hooks.on_commit(path, handle)
-                if hooks is None or hooks.on_fsync(path, fd):
-                    os.fsync(fd)
-            except SimulatedCrash:
-                raise  # a simulated death unwinds nothing, like a real one
-            except BaseException:
-                path.unlink(missing_ok=True)
-                raise
-        if hooks is not None:
-            hooks.on_replace(None, path, "after")
-    finally:
-        os.close(fd)
-    if created:
-        fsync_dir(path.parent)
-
-
-@contextmanager
-def shared_read(path: Any, encoding: str = "utf-8") -> Iterator[str]:
-    """``path``'s text, read under a shared ``flock`` on the file that the
-    block holds until it exits, so no :func:`overwrite_in_place` of it runs
-    meanwhile. Raises ``FileNotFoundError`` when ``path`` is missing."""
-    fd, __ = _open_locked(Path(path), exclusive=False)
-    try:
-        with os.fdopen(
-            fd, "r", encoding=encoding, errors="replace", closefd=False
-        ) as handle:
-            text = handle.read()
-        yield text
-    finally:
-        os.close(fd)
 
 
 def atomic_append_line(path: Any, line: str, encoding: str = "utf-8") -> None:

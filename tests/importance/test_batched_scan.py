@@ -1,7 +1,8 @@
 """Permutation scans that fit the next B prefixes in one kernel call.
 
 A batched scan must equal the prefix-by-prefix scan (B = 1) in everything
-it reports: values, memo, evaluation census, stop point and cache stats.
+it reports: values, memo, evaluation census, stop point and cache stats;
+a list of subsets evaluated in batches must equal one subset at a time.
 Fits past a truncation point are speculative and counted only as such. A
 utility or model that overrides the call the batch replaces keeps being
 called once per subset.
@@ -78,6 +79,27 @@ def test_batched_scan_equals_the_prefix_by_prefix_scan(name, per_prefix):
     assert batched.speculative_fits >= 0
     if "truncation_tolerance" not in RUNS[name]:
         assert batched.speculative_fits == 0
+
+
+@pytest.mark.parametrize("cache_size", [32768, 25], ids=["memo", "small memo"])
+def test_a_batched_subset_list_equals_one_subset_at_a_time(cache_size):
+    rng = np.random.default_rng(8)
+    subsets = [np.flatnonzero(rng.random(60) < 0.5) for __ in range(70)]
+    # Repeats, a single-class subset and the empty one.
+    subsets += subsets[::7] + [[3], [], [0, 1, 2]]
+
+    def evaluate(many):
+        utility = identify_game()
+        engine = ValuationEngine(utility, cache_size=cache_size)
+        if many:
+            values = engine.evaluate_many(subsets)
+        else:
+            values = [engine.evaluate(subset) for subset in subsets]
+        return np.asarray(values), utility.n_evaluations, engine.cache.stats()
+
+    batched, single = evaluate(many=True), evaluate(many=False)
+    assert np.array_equal(batched[0], single[0])
+    assert batched[1:] == single[1:]
 
 
 def test_speculative_fits_are_counted_apart_from_evaluations():

@@ -20,6 +20,7 @@ from scipy.linalg.lapack import dposv
 from scipy.special import log_expit
 
 from repro.learn import LogisticRegression
+from repro.learn.models import logistic
 from repro.learn.models.logistic import (
     ARMIJO_FRACTION,
     MIN_STEP,
@@ -187,9 +188,13 @@ def subset_masks(rng, n, n_prefixes=40, n_random=40):
 
 class TestBatchIndependence:
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-    def test_coefficients_do_not_depend_on_the_batch(self, weighted):
+    @pytest.mark.parametrize("sliced", [False, True], ids=["one-product", "sliced"])
+    def test_coefficients_do_not_depend_on_the_batch(self, weighted, sliced, monkeypatch):
         x, y, rng = identify_design()
         design = SignedDesign(x, y)
+        if sliced:
+            # Hessians staged three subsets at a time, as a wide design's are.
+            monkeypatch.setattr(logistic, "_HESSIAN_STAGING_FLOATS", 3 * design.ZT.size)
         masks = subset_masks(rng, len(x))
         weight = rng.uniform(0.1, 3.0, size=len(x)) if weighted else None
         alone = np.concatenate(

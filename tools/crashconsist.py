@@ -27,9 +27,9 @@ The parent then verifies, per case:
 4. **Resumed valuations are bit-identical.** A valuation killed at any
    checkpoint-write fault point resumes from the newest snapshot it wrote
    whole — falling back to the other checkpoint slot when the newest
-   snapshot was torn, in place or on disk — and produces values
-   ``np.array_equal`` to a run that was never interrupted. A fault in a
-   store's first save, which is staged and renamed, leaves no snapshot.
+   snapshot was torn — and produces values ``np.array_equal`` to a run
+   that was never interrupted. A fault in a store's first save that keeps
+   it from publishing leaves no snapshot.
 
 Run it standalone (CI's durability-smoke job does)::
 
@@ -74,8 +74,7 @@ CRASH_KINDS = ("crash_before_rename", "crash_after_rename")
 TORN_KINDS = ("short_write", "torn_append")
 
 #: Valuation run shape for the checkpoint scenario: 30 permutations in
-#: waves of 5 → 6 checkpoint saves, one commit each (the slots alternate;
-#: the first is staged and renamed, the rest overwrite a slot in place).
+#: waves of 5 → 6 checkpoint saves, one commit each (the slots alternate).
 CK_PERMUTATIONS = 30
 CK_SEED = 5
 CK_CHECK_EVERY = 5
@@ -265,7 +264,7 @@ def _load_journal(path: Path):
 def expected_watermark(kind: str, op: int) -> int:
     """Where a valuation faulted at checkpoint save ``op`` must resume: the
     newest snapshot it wrote whole. A writer that dies before publishing
-    save ``op`` (or mid-overwrite) resumes from the save before; one that
+    save ``op`` (or mid-write) resumes from the save before; one that
     dies just after, from save ``op``. A short write is acknowledged and
     the writer runs on, so a later save overwrites the torn slot, except
     after the final save, which falls back to the one before it."""
@@ -292,7 +291,7 @@ def sweep_checkpoint(
     cases = []
     # 6 waves x 1 slot write = 6 commits; sweep a prefix, plus always the
     # final write — the one fault later waves cannot overwrite, so a torn
-    # final overwrite exercises the fallback to the other slot.
+    # final snapshot exercises the fallback to the other slot.
     ops = sorted(
         set(ops if ops is not None else range(6)) | {CK_FINAL_PRIMARY_OP}
     )
